@@ -84,6 +84,18 @@ void BM_EventExecutor(benchmark::State& state) {
 }
 BENCHMARK(BM_EventExecutor)->Arg(4)->Arg(16);
 
+void BM_EvaluateSchedule(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  const auto& cfg = gpt2_config();
+  const auto costs =
+      core::stage_costs(cfg, core::balanced_partition(cfg, depth));
+  const auto schedule = core::build_1f1b(costs, 2 * depth, cfg.comm_ms);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::evaluate_schedule(schedule).iteration_ms);
+  }
+}
+BENCHMARK(BM_EvaluateSchedule)->Arg(4)->Arg(16);
+
 void BM_AutoPlanFacade(benchmark::State& state) {
   const auto& cfg = gpt2_config();
   for (auto _ : state) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -343,50 +342,59 @@ void validate(const Schedule& schedule) {
       throw std::logic_error("schedule boundary comm costs must be finite, >= 0");
     }
   }
+  // Per-device flags, one slot per (micro-batch, chunk, half) -- half -1,
+  // 0, 1 -- and op type.
+  const auto slot = [&](const ScheduleOp& op) {
+    return (static_cast<std::size_t>(op.micro_batch) * schedule.chunks +
+            op.chunk) * 3 + (op.half + 1);
+  };
+  const std::size_t slots = static_cast<std::size_t>(
+      std::max(0, schedule.num_micro_batches) * std::max(0, schedule.chunks) *
+      3);
+  std::vector<char> seen, forward_done, binput_done;
   for (int dev = 0; dev < n; ++dev) {
-    // key: (type, micro_batch, chunk, half)
-    std::map<std::tuple<int, int, int, int>, int> seen;
-    std::map<std::tuple<int, int, int>, bool> forward_done;
-    std::map<std::tuple<int, int, int>, bool> binput_done;
-    for (const auto& op : schedule.order[dev]) {
-      if (op.micro_batch < 0 || op.micro_batch >= schedule.num_micro_batches ||
-          op.chunk < 0 || op.chunk >= schedule.chunks) {
-        throw std::logic_error("schedule op out of range");
-      }
-      const auto key = std::make_tuple(static_cast<int>(op.type),
-                                       op.micro_batch, op.chunk, op.half);
-      if (++seen[key] > 1) throw std::logic_error("duplicate schedule op");
-      const auto fb_key = std::make_tuple(op.micro_batch, op.chunk, op.half);
-      switch (op.type) {
-        case OpType::Forward:
-          forward_done[fb_key] = true;
-          break;
-        case OpType::Backward:
-        case OpType::BackwardInput:
-          if (!forward_done[fb_key]) {
-            throw std::logic_error("backward before forward on a device");
-          }
-          if (op.type == OpType::BackwardInput) binput_done[fb_key] = true;
-          break;
-        case OpType::BackwardWeight:
-          if (!binput_done[fb_key]) {
-            throw std::logic_error(
-                "grad-weight before its grad-input on a device");
-          }
-          break;
-      }
-    }
+    seen.assign(slots * 4, 0);
+    forward_done.assign(slots, 0);
+    binput_done.assign(slots, 0);
     // Exactly one forward per (micro-batch, chunk) -- counting a half pair
     // as one -- and exactly one backward: either fused, or a grad-input /
     // grad-weight pair (never both forms for the same micro-batch).
     double forwards = 0, backwards = 0, binputs = 0, bweights = 0;
-    for (const auto& [key, count] : seen) {
-      const double weight = std::get<3>(key) >= 0 ? 0.5 : 1.0;
-      switch (static_cast<OpType>(std::get<0>(key))) {
-        case OpType::Forward:        forwards += weight * count; break;
-        case OpType::Backward:       backwards += weight * count; break;
-        case OpType::BackwardInput:  binputs += weight * count; break;
-        case OpType::BackwardWeight: bweights += weight * count; break;
+    for (const auto& op : schedule.order[dev]) {
+      if (op.micro_batch < 0 || op.micro_batch >= schedule.num_micro_batches ||
+          op.chunk < 0 || op.chunk >= schedule.chunks || op.half < -1 ||
+          op.half > 1) {
+        throw std::logic_error("schedule op out of range");
+      }
+      const std::size_t at = slot(op);
+      if (seen[at * 4 + static_cast<int>(op.type)]++) {
+        throw std::logic_error("duplicate schedule op");
+      }
+      const double weight = op.is_half() ? 0.5 : 1.0;
+      switch (op.type) {
+        case OpType::Forward:
+          forward_done[at] = 1;
+          forwards += weight;
+          break;
+        case OpType::Backward:
+        case OpType::BackwardInput:
+          if (!forward_done[at]) {
+            throw std::logic_error("backward before forward on a device");
+          }
+          if (op.type == OpType::BackwardInput) {
+            binput_done[at] = 1;
+            binputs += weight;
+          } else {
+            backwards += weight;
+          }
+          break;
+        case OpType::BackwardWeight:
+          if (!binput_done[at]) {
+            throw std::logic_error(
+                "grad-weight before its grad-input on a device");
+          }
+          bweights += weight;
+          break;
       }
     }
     const double expected =

@@ -4,8 +4,8 @@
 // recurrences; this module instead *constructs* the schedules -- including
 // the baselines (GPipe, Megatron-LM's interleaved 1F1B) and AutoPipe's
 // sliced 1F1B -- as explicit per-device execution orders that the
-// discrete-event executor (sim/executor.h) times and the thread runtime
-// (runtime/pipeline_runtime.h) really executes.
+// longest-path evaluator (time_schedule below, behind sim/executor.h) times
+// and the thread runtime (runtime/pipeline_runtime.h) really executes.
 #pragma once
 
 #include <span>
@@ -13,6 +13,10 @@
 
 #include "core/simulator.h"
 #include "costmodel/memory.h"
+
+namespace autopipe::faults {
+struct FaultPlan;
+}  // namespace autopipe::faults
 
 namespace autopipe::core {
 
@@ -139,10 +143,38 @@ struct ScheduleEval {
   std::vector<int> critical_path;
 };
 
-/// Evaluates `schedule` by longest-path relaxation over the same dependency
-/// graph sim::execute builds (intra-device order, cross-stage transfers with
-/// halved/aggregated sliced-half lags), with ties broken toward the higher
-/// device ("closest to the last pipeline stage", Fig. 4). Matches
+/// Per-op timing from time_schedule. Ops are indexed device-major: device
+/// 0's order, then device 1's, and so on.
+struct ScheduleTiming {
+  std::vector<double> start_ms;
+  std::vector<double> end_ms;
+  /// Actual durations: the given ones, stretched by straggler windows.
+  std::vector<double> duration_ms;
+  /// Predecessor that bound each op's start (-1 at sources); among equally
+  /// late predecessors, the one on the higher device.
+  std::vector<int> binding_pred;
+  /// Cross-stage producer each op receives a transfer from (-1 if none).
+  std::vector<int> transfer_pred;
+  /// Op ids in the order the pass fixed their times (a topological order).
+  std::vector<int> order;
+  /// Failed transfer attempts paid to link outages.
+  int link_retries = 0;
+};
+
+/// The single longest-path pass behind evaluate_schedule and sim::execute:
+/// intra-device order plus cross-stage transfers with the §III-C
+/// halved/aggregated sliced-half lags, relaxed in topological order from
+/// one base duration per op (device-major). A non-null `faults` plan
+/// stretches each op by its straggler slowdown at its final start and each
+/// transfer by link spikes/outages at its producer's final end; null keeps
+/// the fault-free arithmetic. Expects a validated schedule; throws
+/// std::logic_error when the dependency graph has a cycle.
+ScheduleTiming time_schedule(const Schedule& schedule,
+                             std::vector<double> durations_ms,
+                             const faults::FaultPlan* faults);
+
+/// Evaluates `schedule` with time_schedule on its analytic op durations and
+/// backtracks the critical path from the op that finishes last. Matches
 /// sim::execute's fault-free, zero-overhead timing exactly. Validates the
 /// schedule; throws std::logic_error on malformed or cyclic schedules.
 ScheduleEval evaluate_schedule(const Schedule& schedule);

@@ -1,91 +1,82 @@
-// Analytic longest-path evaluation of a Schedule (evaluate_schedule).
+// The one schedule evaluator: a longest-path pass over a Schedule's
+// dependency graph (time_schedule), and its analytic front end
+// evaluate_schedule. sim::execute runs the same pass with overhead, jitter
+// and faults folded in, so the two agree bit-for-bit whenever those are off.
 //
-// Builds the same dependency graph sim::execute does -- intra-device
-// serialization edges plus cross-stage transfer edges lagged by the
-// schedule's per-boundary comm costs, with the §III-C halved/aggregated
-// sliced-half lags -- and relaxes start times in topological order. With
-// zero per-op overhead, zero jitter and no faults the executor's
-// discrete-event timing is exactly this longest path, so the two agree
-// bit-for-bit; unlike the executor this pass also records the binding
-// predecessor of every op and backtracks the critical path.
+// The graph has one node per schedule op, indexed device-major. Edges are
+// intra-device serialization (each op waits for its predecessor in device
+// order, no lag) and cross-stage transfers lagged by the schedule's
+// per-boundary comm costs, with the §III-C halved/aggregated sliced-half
+// lags. Start times are relaxed in topological (Kahn) order, so every op's
+// start and every producer's end are final when the fault plan sees them.
 #include "core/schedule.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
-#include <tuple>
 #include <vector>
+
+#include "faults/fault_plan.h"
 
 namespace autopipe::core {
 
-namespace {
-
-// One logical computation: (global stage, type, micro-batch, half); chunks
-// are folded into the global stage. Mirrors the executor's OpKey.
-using OpKey = std::tuple<int, int, int, int>;
-
-struct Edge {
-  int from = -1;
-  int to = -1;
-  double lag_ms = 0;
-};
-
-}  // namespace
-
-ScheduleEval evaluate_schedule(const Schedule& schedule) {
-  validate(schedule);
+ScheduleTiming time_schedule(const Schedule& schedule,
+                             std::vector<double> durations_ms,
+                             const faults::FaultPlan* faults) {
   const int n = schedule.num_stages;
+  const int m = schedule.num_micro_batches;
   const int last_global = schedule.chunks * n - 1;
 
-  ScheduleEval eval;
-  std::map<OpKey, int> task_of;
-  std::vector<double> duration;
+  // Nodes, device-major, and a dense index from (global stage, op type,
+  // micro-batch, half) to node id; chunks fold into the global stage.
+  constexpr int kTypes = 4;   // F, B, BackwardInput, BackwardWeight
+  constexpr int kHalves = 3;  // whole (-1), first (0), second (1)
+  const auto key = [m](int global, OpType type, int mb, int half) {
+    return ((static_cast<std::size_t>(global) * kTypes +
+             static_cast<std::size_t>(type)) * m + mb) * kHalves + (half + 1);
+  };
+  std::vector<int> index(
+      static_cast<std::size_t>(last_global + 1) * kTypes * m * kHalves, -1);
+  const auto find = [&](int global, OpType type, int mb, int half) {
+    return index[key(global, type, mb, half)];
+  };
+  struct Node {
+    const ScheduleOp* op;
+    int device;
+    int global;
+  };
+  std::vector<Node> nodes;
+  nodes.reserve(durations_ms.size());
   for (int dev = 0; dev < n; ++dev) {
     for (const ScheduleOp& op : schedule.order[dev]) {
-      const int id = static_cast<int>(eval.ops.size());
-      const OpKey key{schedule.global_stage(dev, op.chunk),
-                      static_cast<int>(op.type), op.micro_batch, op.half};
-      if (!task_of.emplace(key, id).second) {
-        throw std::logic_error("duplicate op across devices");
-      }
-      eval.ops.push_back({op, dev, 0, 0, -1, false});
-      duration.push_back(schedule.op_duration_ms(dev, op));
+      const int global = schedule.global_stage(dev, op.chunk);
+      int& id = index[key(global, op.type, op.micro_batch, op.half)];
+      if (id >= 0) throw std::logic_error("duplicate op across devices");
+      id = static_cast<int>(nodes.size());
+      nodes.push_back({&op, dev, global});
     }
   }
-
-  auto find = [&](int global, OpType type, int mb, int half) {
-    const auto it = task_of.find({global, static_cast<int>(type), mb, half});
-    return it == task_of.end() ? -1 : it->second;
-  };
-
-  std::vector<Edge> edges;
-  // Intra-device serialization: each op waits for the previous op in its
-  // device's order, with no transfer lag.
-  {
-    int cursor = 0;
-    for (int dev = 0; dev < n; ++dev) {
-      const int count = static_cast<int>(schedule.order[dev].size());
-      for (int i = 1; i < count; ++i) {
-        edges.push_back({cursor + i - 1, cursor + i, 0.0});
-      }
-      cursor += count;
-    }
+  const int total = static_cast<int>(nodes.size());
+  if (static_cast<int>(durations_ms.size()) != total) {
+    throw std::invalid_argument("time_schedule needs one duration per op");
   }
-  // Cross-stage transfers, identical to the executor's pass 2.
-  for (int id = 0; id < static_cast<int>(eval.ops.size()); ++id) {
-    const ScheduleOp& op = eval.ops[id].op;
-    const int global = schedule.global_stage(eval.ops[id].device, op.chunk);
+
+  // Cross-stage transfers: each op receives at most one, from its producer
+  // one global stage up (forward) or down (backward).
+  ScheduleTiming t;
+  t.transfer_pred.assign(total, -1);
+  std::vector<double> transfer_lag(total, 0.0);
+  for (int id = 0; id < total; ++id) {
+    const ScheduleOp& op = *nodes[id].op;
+    const int global = nodes[id].global;
     if (op.type == OpType::Forward && global > 0) {
       const double whole_hop = schedule.hop_ms(global - 1);
-      int producer = find(global - 1, OpType::Forward, op.micro_batch,
-                          op.half);
+      int producer = find(global - 1, OpType::Forward, op.micro_batch, op.half);
       double lag = op.is_half() ? whole_hop / 2.0 : whole_hop;
       if (producer >= 0 && op.half == 0 &&
-          eval.ops[producer].op.aggregated_comm) {
+          nodes[producer].op->aggregated_comm) {
         // §III-C: the producer defers the first-half transfer and ships both
         // halves after the second half completes, as one full-size message.
-        const int second =
-            find(global - 1, OpType::Forward, op.micro_batch, 1);
+        const int second = find(global - 1, OpType::Forward, op.micro_batch, 1);
         if (second >= 0) {
           producer = second;
           lag = whole_hop;
@@ -94,7 +85,8 @@ ScheduleEval evaluate_schedule(const Schedule& schedule) {
       if (producer < 0) {
         throw std::logic_error("forward op has no upstream producer");
       }
-      edges.push_back({producer, id, lag});
+      t.transfer_pred[id] = producer;
+      transfer_lag[id] = lag;
     }
     if ((op.type == OpType::Backward || op.type == OpType::BackwardInput) &&
         global < last_global) {
@@ -112,53 +104,125 @@ ScheduleEval evaluate_schedule(const Schedule& schedule) {
       if (producer < 0) {
         throw std::logic_error("backward op has no downstream producer");
       }
-      edges.push_back(
-          {producer, id, op.is_half() ? whole_hop / 2.0 : whole_hop});
+      t.transfer_pred[id] = producer;
+      transfer_lag[id] = op.is_half() ? whole_hop / 2.0 : whole_hop;
     }
   }
 
-  // Longest-path relaxation in topological (Kahn) order. Among equally late
-  // predecessors the binding one is on the higher device -- the same
-  // tie-break the analytic simulator uses, keeping the critical path the
-  // unique one "closest to the last pipeline stage" (Fig. 4).
-  const int total = static_cast<int>(eval.ops.size());
-  std::vector<std::vector<int>> out(total);
+  // Flat out-edge arrays grouped by producer: first the edge to the next op
+  // on the same device, then transfers in consumer order. A transfer edge
+  // records its upstream boundary; a same-device edge has -1.
+  const auto has_next = [&](int id) {
+    return id + 1 < total && nodes[id + 1].device == nodes[id].device;
+  };
   std::vector<int> indegree(total, 0);
-  for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
-    out[edges[e].from].push_back(e);
-    ++indegree[edges[e].to];
+  std::vector<int> edge_begin(total + 1, 0);
+  for (int id = 0; id < total; ++id) {
+    if (has_next(id)) {
+      ++edge_begin[id + 1];
+      ++indegree[id + 1];
+    }
+    if (t.transfer_pred[id] >= 0) {
+      ++edge_begin[t.transfer_pred[id] + 1];
+      ++indegree[id];
+    }
   }
+  for (int id = 0; id < total; ++id) edge_begin[id + 1] += edge_begin[id];
+  std::vector<int> edge_to(edge_begin[total]);
+  std::vector<double> edge_lag(edge_begin[total], 0.0);
+  std::vector<int> edge_boundary(edge_begin[total], -1);
+  std::vector<int> fill(edge_begin.begin(), edge_begin.end() - 1);
+  for (int id = 0; id < total; ++id) {
+    if (has_next(id)) edge_to[fill[id]++] = id + 1;
+  }
+  for (int id = 0; id < total; ++id) {
+    const int from = t.transfer_pred[id];
+    if (from < 0) continue;
+    const int e = fill[from]++;
+    edge_to[e] = id;
+    edge_lag[e] = transfer_lag[id];
+    edge_boundary[e] = std::min(nodes[from].global, nodes[id].global);
+  }
+
+  // Longest-path relaxation in Kahn order. Among equally late predecessors
+  // the binding one is on the higher device -- the same tie-break the
+  // analytic simulator uses, keeping the critical path the unique one
+  // "closest to the last pipeline stage" (Fig. 4). A fault plan stretches
+  // an op by its straggler slowdown at its final start, and a transfer by
+  // link spikes and outage retries at its producer's final end.
+  t.start_ms.assign(total, 0.0);
+  t.end_ms.assign(total, 0.0);
+  t.binding_pred.assign(total, -1);
+  t.order.reserve(total);
   std::vector<int> ready;
   for (int id = 0; id < total; ++id) {
     if (indegree[id] == 0) ready.push_back(id);
   }
-  int processed = 0;
   while (!ready.empty()) {
     const int id = ready.back();
     ready.pop_back();
-    ++processed;
-    EvalOp& op = eval.ops[id];
-    op.end_ms = op.start_ms + duration[id];
-    for (int e : out[id]) {
-      EvalOp& to = eval.ops[edges[e].to];
-      const double arrival = op.end_ms + edges[e].lag_ms;
-      if (arrival > to.start_ms ||
-          (arrival == to.start_ms &&
-           (to.critical_pred < 0 ||
-            op.device > eval.ops[to.critical_pred].device))) {
-        to.start_ms = arrival;
-        to.critical_pred = id;
+    t.order.push_back(id);
+    const int device = nodes[id].device;
+    if (faults) {
+      const double factor = faults->slowdown(device, t.start_ms[id]);
+      const double d = durations_ms[id];
+      durations_ms[id] = factor == 1.0 ? d : d * factor;
+    }
+    const double end = t.start_ms[id] + durations_ms[id];
+    t.end_ms[id] = end;
+    for (int e = edge_begin[id]; e < edge_begin[id + 1]; ++e) {
+      double lag = edge_lag[e];
+      if (faults && edge_boundary[e] >= 0) {
+        const faults::TransferOutcome out =
+            faults->transfer(edge_boundary[e], end, lag);
+        t.link_retries += out.retries;
+        lag = out.lag_ms;
       }
-      if (--indegree[edges[e].to] == 0) ready.push_back(edges[e].to);
+      const double arrival = end + lag;
+      const int to = edge_to[e];
+      const int pred = t.binding_pred[to];
+      if (arrival > t.start_ms[to] ||
+          (arrival == t.start_ms[to] &&
+           (pred < 0 || device > nodes[pred].device))) {
+        t.start_ms[to] = arrival;
+        t.binding_pred[to] = id;
+      }
+      if (--indegree[to] == 0) ready.push_back(to);
     }
   }
-  if (processed != total) {
+  if (static_cast<int>(t.order.size()) != total) {
     throw std::logic_error("schedule dependency graph has a cycle");
+  }
+  t.duration_ms = std::move(durations_ms);
+  return t;
+}
+
+ScheduleEval evaluate_schedule(const Schedule& schedule) {
+  validate(schedule);
+  const int n = schedule.num_stages;
+
+  std::vector<double> durations;
+  for (int dev = 0; dev < n; ++dev) {
+    for (const ScheduleOp& op : schedule.order[dev]) {
+      durations.push_back(schedule.op_duration_ms(dev, op));
+    }
+  }
+  const ScheduleTiming timing =
+      time_schedule(schedule, std::move(durations), nullptr);
+  ScheduleEval eval;
+  eval.ops.reserve(timing.start_ms.size());
+  for (int dev = 0; dev < n; ++dev) {
+    for (const ScheduleOp& op : schedule.order[dev]) {
+      const std::size_t id = eval.ops.size();
+      eval.ops.push_back({op, dev, timing.start_ms[id], timing.end_ms[id],
+                          timing.binding_pred[id], false});
+    }
   }
 
   // Results: makespan, startup (first forward on the last device), and the
   // critical path backtracked from the op that finishes last (ties toward
   // the higher device).
+  const int total = static_cast<int>(eval.ops.size());
   int tail = -1;
   bool startup_found = false;
   for (int id = 0; id < total; ++id) {

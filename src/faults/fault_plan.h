@@ -2,7 +2,7 @@
 //
 // The paper's 16-GPU testbed lives with stragglers, flaky links and outright
 // device loss; this module describes such perturbations as *data* so that
-// both the discrete-event executor (sim/executor.h) and the thread runtime
+// both the simulated executor (sim/executor.h) and the thread runtime
 // (runtime/pipeline_runtime.h) can replay exactly the same failure scenario.
 // A FaultPlan is pure configuration: it never touches clocks or randomness
 // itself, so injecting an empty plan is bit-identical to no plan at all, and

@@ -1,245 +1,119 @@
 #include "sim/executor.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
-#include "sim/event_engine.h"
 #include "util/rng.h"
 
 namespace autopipe::sim {
 
 namespace {
-
-// Key identifying one logical computation: (global stage, type, micro-batch,
-// half). Chunks are folded into the global stage.
-using OpKey = std::tuple<int, int, int, int>;
-
+constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 ExecResult execute(const core::Schedule& schedule, const ExecOptions& options) {
   core::validate(schedule);
   const int n = schedule.num_stages;
-  const int last_global = schedule.chunks * n - 1;
 
-  // Fault hooks only engage for a non-empty plan: a null or empty FaultPlan
-  // follows the exact arithmetic of the fault-free path, keeping its results
+  // A null or empty FaultPlan reaches the pass as a null pointer, which
+  // follows the exact arithmetic of the fault-free path and keeps results
   // bit-identical (the determinism contract of DESIGN.md §6).
   const faults::FaultPlan* plan =
       options.faults && !options.faults->empty() ? options.faults : nullptr;
   if (plan) plan->validate(n, std::max(0, schedule.chunks * n - 1));
+  if (!options.allreduce_ms.empty() &&
+      static_cast<int>(options.allreduce_ms.size()) != n) {
+    throw std::invalid_argument("allreduce_ms must have one entry per device");
+  }
 
+  // Op durations with per-op overhead and jitter, drawn in device-major
+  // order.
   util::Rng rng(options.seed);
-  TaskGraph graph;
-  std::map<OpKey, int> task_of;
-  // Flat list mirroring graph task ids.
-  std::vector<TimedOp> ops;
-  // Per-task device (covers the trailing all-reduce tasks too) and
-  // per-edge upstream boundary (-1 for intra-device serialization edges).
-  std::vector<int> task_device;
-  std::vector<int> edge_boundary;
-  std::vector<std::pair<int, int>> edge_ends;  // (from, to) for crash prop
-  const auto record_dep = [&](int from, int to, double lag, int boundary) {
-    const int e = graph.add_dep(from, to, lag);
-    if (static_cast<int>(edge_boundary.size()) <= e) {
-      edge_boundary.resize(e + 1, -1);
-      edge_ends.resize(e + 1);
-    }
-    edge_boundary[e] = boundary;
-    edge_ends[e] = {from, to};
-  };
-
-  // Pass 1: create tasks (with overhead and jitter applied to durations) and
-  // intra-device serialization edges.
+  std::vector<double> durations;
   for (int dev = 0; dev < n; ++dev) {
-    int prev = -1;
     for (const core::ScheduleOp& op : schedule.order[dev]) {
       double duration =
           schedule.op_duration_ms(dev, op) + options.per_op_overhead_ms;
       if (options.jitter_frac > 0) {
         duration *= 1.0 + options.jitter_frac * rng.uniform(-1.0, 1.0);
       }
-      const int id = graph.add_task(duration);
-      const OpKey key{schedule.global_stage(dev, op.chunk),
-                      static_cast<int>(op.type), op.micro_batch, op.half};
-      if (!task_of.emplace(key, id).second) {
-        throw std::logic_error("duplicate op across devices");
-      }
-      ops.push_back({op, dev, 0, 0});
-      task_device.push_back(dev);
-      if (prev >= 0) record_dep(prev, id, 0.0, -1);
-      prev = id;
+      durations.push_back(duration);
+    }
+  }
+  const core::ScheduleTiming timing =
+      core::time_schedule(schedule, std::move(durations), plan);
+  const int total = static_cast<int>(timing.start_ms.size());
+  std::vector<TimedOp> ops;
+  ops.reserve(total);
+  for (int dev = 0; dev < n; ++dev) {
+    for (const core::ScheduleOp& op : schedule.order[dev]) {
+      const std::size_t id = ops.size();
+      ops.push_back({op, dev, timing.start_ms[id], timing.end_ms[id]});
     }
   }
 
-  auto find = [&](int global, core::OpType type, int mb, int half) {
-    const auto it =
-        task_of.find({global, static_cast<int>(type), mb, half});
-    return it == task_of.end() ? -1 : it->second;
-  };
-
-  // Per-boundary transfer times come from the schedule itself: the builders
-  // freeze the CommModel's prices into Schedule::boundary_comm_ms, so
-  // heterogeneous interconnects (intra-node PCIe vs inter-node InfiniBand)
-  // need no executor-side override.
-  auto hop_of = [&](int upstream_global) {
-    return schedule.hop_ms(upstream_global);
-  };
-
-  // Pass 2: cross-stage transfer edges.
-  for (int id = 0; id < static_cast<int>(ops.size()); ++id) {
-    const core::ScheduleOp& op = ops[id].op;
-    const int global = schedule.global_stage(ops[id].device, op.chunk);
-    if (op.type == core::OpType::Forward && global > 0) {
-      const double whole_hop = hop_of(global - 1);
-      int producer = find(global - 1, core::OpType::Forward, op.micro_batch,
-                          op.half);
-      double lag = op.is_half() ? whole_hop / 2.0 : whole_hop;
-      if (producer >= 0 && op.half == 0 &&
-          ops[producer].op.aggregated_comm) {
-        // §III-C: the producer defers the first-half transfer and ships both
-        // halves after the second half completes, as one full-size message.
-        const int second =
-            find(global - 1, core::OpType::Forward, op.micro_batch, 1);
-        if (second >= 0) {
-          producer = second;
-          lag = whole_hop;
-        }
-      }
-      if (producer < 0) {
-        throw std::logic_error("forward op has no upstream producer");
-      }
-      record_dep(producer, id, lag, global - 1);
-    }
-    if ((op.type == core::OpType::Backward ||
-         op.type == core::OpType::BackwardInput) &&
-        global < last_global) {
-      // The dx producer downstream: the same backward form, falling back to
-      // the other form so fused and split stages can coexist in one
-      // schedule. BackwardWeight is local and adds no cross-stage edge.
-      const double whole_hop = hop_of(global);
-      int producer = find(global + 1, op.type, op.micro_batch, op.half);
-      if (producer < 0) {
-        producer = find(global + 1,
-                        op.type == core::OpType::Backward
-                            ? core::OpType::BackwardInput
-                            : core::OpType::Backward,
-                        op.micro_batch, op.half);
-      }
-      if (producer < 0) {
-        throw std::logic_error("backward op has no downstream producer");
-      }
-      record_dep(producer, id, op.is_half() ? whole_hop / 2.0 : whole_hop,
-                 global);
-    }
+  // Hybrid data parallelism: each device's all-reduce starts when its last
+  // op ends. Nothing depends on it, so it needs no node in the graph; a
+  // device without one keeps an end of -inf.
+  std::vector<int> last_op(n, -1);
+  for (int id = 0; id < total; ++id) last_op[ops[id].device] = id;
+  std::vector<double> allreduce_end(n, -kInf);
+  for (int dev = 0; dev < n && !options.allreduce_ms.empty(); ++dev) {
+    if (last_op[dev] < 0 || options.allreduce_ms[dev] <= 0) continue;
+    const double start = timing.end_ms[last_op[dev]];
+    const double base = options.allreduce_ms[dev];
+    const double factor = plan ? plan->slowdown(dev, start) : 1.0;
+    allreduce_end[dev] = start + (factor == 1.0 ? base : base * factor);
   }
 
-  // Hybrid data parallelism: append one all-reduce task per device, gated
-  // on that device's final op.
-  if (!options.allreduce_ms.empty()) {
-    if (static_cast<int>(options.allreduce_ms.size()) != n) {
-      throw std::invalid_argument("allreduce_ms must have one entry per device");
-    }
-    int cursor = 0;
-    for (int dev = 0; dev < n; ++dev) {
-      const int count = static_cast<int>(schedule.order[dev].size());
-      if (count > 0 && options.allreduce_ms[dev] > 0) {
-        const int ar = graph.add_task(options.allreduce_ms[dev]);
-        task_device.push_back(dev);
-        record_dep(cursor + count - 1, ar, 0.0, -1);
-      }
-      cursor += count;
-    }
-  }
-
-  // Actual durations per task: the base value unless a straggler hook
-  // stretches it (device_busy_ms and crash truncation use these).
-  std::vector<double> actual_ms(graph.size());
-  for (int id = 0; id < graph.size(); ++id) actual_ms[id] = graph.duration(id);
-
-  int link_retries = 0;
-  TaskGraph::Timing timing;
-  if (plan) {
-    const TaskGraph::DurationFn dur_fn = [&](int id, double start) {
-      const double factor = plan->slowdown(task_device[id], start);
-      const double d =
-          factor == 1.0 ? graph.duration(id) : graph.duration(id) * factor;
-      actual_ms[id] = d;
-      return d;
-    };
-    const TaskGraph::LagFn lag_fn = [&](int e, double base, double end) {
-      if (edge_boundary[e] < 0) return base;  // same-device edge, no link
-      const faults::TransferOutcome t =
-          plan->transfer(edge_boundary[e], end, base);
-      link_retries += t.retries;
-      return t.lag_ms;
-    };
-    timing = graph.run(dur_fn, lag_fn);
-  } else {
-    timing = graph.run();
-  }
-
-  // Crash truncation: a task on a crashed device that has not *finished* by
-  // the crash instant is lost, and so is -- transitively -- every task that
-  // consumes a lost task's output. Edges only point forward in time, so a
-  // fixpoint sweep converges in at most graph-diameter passes.
-  std::vector<char> lost(graph.size(), 0);
+  // Crash truncation: an op on a crashed device that has not *finished* by
+  // the crash instant is lost, and so is every op that consumes a lost
+  // op's output -- one sweep in topological order settles it. Runtime-only
+  // crash triggers (after_ops with an infinite at_ms) do not touch the
+  // simulated timeline.
+  std::vector<double> crash_at(n, kInf);
   FailureReport failure;
-  // Runtime-only crash triggers (after_ops with an infinite at_ms) do not
-  // touch the simulated timeline.
-  const auto timed_crash = [&](int device) -> const faults::DeviceCrash* {
-    const faults::DeviceCrash* c = plan ? plan->crash_for(device) : nullptr;
-    return c && c->at_ms < std::numeric_limits<double>::infinity() ? c
-                                                                   : nullptr;
-  };
-  if (plan && !plan->crashes.empty()) {
-    for (int id = 0; id < graph.size(); ++id) {
-      if (const faults::DeviceCrash* c = timed_crash(task_device[id])) {
-        if (timing.end_ms[id] > c->at_ms) lost[id] = 1;
+  for (int dev = 0; plan && dev < n; ++dev) {
+    const faults::DeviceCrash* c = plan->crash_for(dev);
+    if (c && c->at_ms < kInf) {
+      crash_at[dev] = c->at_ms;
+      if (!failure.crashed || c->at_ms < failure.at_ms) {
+        failure.crashed = true;
+        failure.device = dev;
+        failure.at_ms = c->at_ms;
       }
     }
-    for (bool changed = true; changed;) {
-      changed = false;
-      for (const auto& [from, to] : edge_ends) {
-        if (lost[from] && !lost[to]) {
-          lost[to] = 1;
-          changed = true;
-        }
-      }
-    }
-    for (int dev = 0; dev < n; ++dev) {
-      if (const faults::DeviceCrash* c = timed_crash(dev)) {
-        if (!failure.crashed || c->at_ms < failure.at_ms) {
-          failure.crashed = true;
-          failure.device = dev;
-          failure.at_ms = c->at_ms;
-        }
-      }
+  }
+  std::vector<char> lost(total, 0);
+  if (failure.crashed) {
+    for (int id : timing.order) {
+      const int dev = ops[id].device;
+      const int from = timing.transfer_pred[id];
+      lost[id] = timing.end_ms[id] > crash_at[dev] ||
+                 (id > 0 && ops[id - 1].device == dev && lost[id - 1]) ||
+                 (from >= 0 && lost[from]);
     }
   }
 
   ExecResult result;
   result.failure = failure;
-  result.link_retries = link_retries;
+  result.link_retries = timing.link_retries;
   result.device_busy_ms.assign(n, 0.0);
   result.trace.reserve(ops.size());
-  result.startup_ms = 0;
   bool startup_found = false;
-  double completed_makespan = 0;
-  // Compute ops only; trailing all-reduce tasks count toward the makespan
-  // but are not compute busy time.
-  for (int id = 0; id < static_cast<int>(ops.size()); ++id) {
+  double makespan = 0;
+  for (int id = 0; id < total; ++id) {
     if (lost[id]) {
       ++result.failure.lost_ops;
       continue;
     }
     ++result.failure.completed_ops;
-    TimedOp timed = ops[id];
-    timed.start_ms = timing.start_ms[id];
-    timed.end_ms = timing.end_ms[id];
-    result.device_busy_ms[timed.device] += actual_ms[id];
+    const TimedOp& timed = ops[id];
+    result.device_busy_ms[timed.device] += timing.duration_ms[id];
+    makespan = std::max(makespan, timed.end_ms);
     // Startup overhead (§II-B): when the last *device* starts computing its
     // first forward. Under the interleaved schedule that is the device's
     // first chunk -- the half-size chunks are exactly why interleaving
@@ -251,18 +125,16 @@ ExecResult execute(const core::Schedule& schedule, const ExecOptions& options) {
     }
     result.trace.push_back(timed);
   }
-  if (failure.crashed) {
-    // The iteration never finishes; report how far the pipeline got. Lost
-    // all-reduce tasks are excluded along with lost compute ops.
-    for (int id = 0; id < graph.size(); ++id) {
-      if (!lost[id]) {
-        completed_makespan = std::max(completed_makespan, timing.end_ms[id]);
-      }
-    }
-    result.iteration_ms = std::max(completed_makespan, failure.at_ms);
-  } else {
-    result.iteration_ms = timing.makespan_ms;
+  // All-reduce tails count toward the makespan but not toward compute busy
+  // time; a tail is lost with its device's last op or by the crash.
+  for (int dev = 0; dev < n; ++dev) {
+    const bool tail_lost = allreduce_end[dev] > crash_at[dev] ||
+                           (last_op[dev] >= 0 && lost[last_op[dev]]);
+    if (!tail_lost) makespan = std::max(makespan, allreduce_end[dev]);
   }
+  // A crashed iteration never finishes; report how far the pipeline got.
+  result.iteration_ms =
+      failure.crashed ? std::max(makespan, failure.at_ms) : makespan;
   std::sort(result.trace.begin(), result.trace.end(),
             [](const TimedOp& a, const TimedOp& b) {
               return std::tie(a.start_ms, a.device) <

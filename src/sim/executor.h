@@ -1,10 +1,12 @@
-// Discrete-event execution of a pipeline Schedule.
+// Simulated execution of a pipeline Schedule.
 //
-// This is the "actual run" substitute for the paper's GPU cluster: every
-// schedule op becomes a task on its device (serialized in schedule order),
-// activations and gradients travel over lagged cross-device edges, and --
-// unlike the paper-faithful analytic simulator -- each op can pay a fixed
-// kernel-launch overhead and multiplicative jitter. The overhead term
+// This is the "actual run" substitute for the paper's GPU cluster, a thin
+// layer over the one schedule evaluator (core::time_schedule): each op is
+// serialized on its device in schedule order, activations and gradients
+// travel over lagged cross-device edges, and -- unlike the paper-faithful
+// analytic simulator -- each op can pay a fixed kernel-launch overhead and
+// multiplicative jitter, devices can end with a data-parallel all-reduce,
+// and a fault plan can slow, delay or crash the run. The overhead term
 // produces the stable simulator-vs-actual bias of Fig. 11.
 #pragma once
 
