@@ -152,6 +152,12 @@ struct PlanCase {
   int depth;
 };
 
+// Names each case by its values; gtest's default printout of this struct
+// shows the raw bytes of the `model` pointer, which change from build to build.
+void PrintTo(const PlanCase& c, std::ostream* os) {
+  *os << c.model << " depth " << c.depth;
+}
+
 class PlannerZooTest : public testing::TestWithParam<PlanCase> {};
 
 TEST_P(PlannerZooTest, ProducesBalancedValidSchemes) {
