@@ -14,6 +14,7 @@
 #include "core/planner.h"
 #include "core/slicer.h"
 #include "costmodel/memory.h"
+#include "model/ops.h"
 #include "planners/megatron.h"
 #include "sim/executor.h"
 #include "util/table.h"
@@ -29,15 +30,16 @@
 
 namespace autopipe::bench {
 
-/// One JSON metadata line per harness run -- git SHA, build type and
-/// hardware thread count -- so archived bench output stays attributable to
-/// the binary that produced it.
+/// One JSON metadata line per harness run -- git SHA, build type, hardware
+/// thread count and the GEMM tile ISA the kernels dispatched to -- so
+/// archived bench output stays attributable to the binary and CPU path
+/// that produced it.
 inline void emit_metadata(const std::string& bench_name) {
   std::printf(
       "{\"bench\":\"%s\",\"meta\":1,\"git_sha\":\"%s\","
-      "\"build_type\":\"%s\",\"hw_threads\":%u}\n",
+      "\"build_type\":\"%s\",\"hw_threads\":%u,\"kernel_isa\":\"%s\"}\n",
       bench_name.c_str(), AUTOPIPE_GIT_SHA, AUTOPIPE_BUILD_TYPE,
-      std::thread::hardware_concurrency());
+      std::thread::hardware_concurrency(), model::kernel_isa());
 }
 
 inline core::ModelConfig config_for(const std::string& model, int mbs) {

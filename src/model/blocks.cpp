@@ -452,14 +452,17 @@ Tensor ResidualFFNBlock::backward(const Tensor& x, const Tensor& dy) {
   const Tensor normed =
       layernorm(x, params_[0].value, params_[1].value, &ln_cache);
   const Tensor pre = linear(normed, params_[2].value, params_[3].value);
-  const Tensor act = gelu(pre);
 
-  LinearGrads g2 = linear_backward(act, params_[4].value, dy);
+  // fc2's input gradient first, so the recomputed gelu and its gradient
+  // share one tanh per element; the split halves of linear_backward are
+  // its own steps, so the bits are the fused op's.
+  const Tensor g2_dx = linear_backward_input(params_[4].value, dy);
+  const GeluGrads gg = gelu_forward_backward(pre, g2_dx);
+  const LinearWeightGrads g2 = linear_backward_weight(gg.y, dy);
   params_[4].grad.add_(g2.dw);
   params_[5].grad.add_(g2.dbias);
 
-  const Tensor dpre = gelu_backward(pre, g2.dx);
-  LinearGrads g1 = linear_backward(normed, params_[2].value, dpre);
+  LinearGrads g1 = linear_backward(normed, params_[2].value, gg.dx);
   params_[2].grad.add_(g1.dw);
   params_[3].grad.add_(g1.dbias);
 
@@ -486,10 +489,11 @@ Tensor ResidualFFNBlock::backward_input(const Tensor& x, const Tensor& dy,
   auto s = std::make_unique<FFNBwState>();
   s->normed = layernorm(x, params_[0].value, params_[1].value, &s->ln);
   const Tensor pre = linear(s->normed, params_[2].value, params_[3].value);
-  s->act = gelu(pre);
 
   const Tensor g2_dx = linear_backward_input(params_[4].value, dy);
-  s->dpre = gelu_backward(pre, g2_dx);
+  GeluGrads gg = gelu_forward_backward(pre, g2_dx);
+  s->act = std::move(gg.y);
+  s->dpre = std::move(gg.dx);
   s->g1_dx = linear_backward_input(params_[2].value, s->dpre);
   Tensor dx = layernorm_backward_input(s->ln, params_[0].value, s->g1_dx);
   dx.add_(dy);

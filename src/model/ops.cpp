@@ -6,11 +6,29 @@
 #include <mutex>
 #include <stdexcept>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
+#include "model/ops_detail.h"
+#include "util/thread_pool.h"
+
+// The tiles are x86 SIMD; the AVX one is compiled for AVX by attribute and
+// only ever called after a CPU check, so the rest of the library keeps the
+// baseline ISA. Elsewhere the scalar column loop is the whole kernel.
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define AUTOPIPE_X86 1
+#define AUTOPIPE_AVX __attribute__((target("avx")))
+#include <immintrin.h>
 #endif
 
-#include "util/thread_pool.h"
+// The tiles' row and vector loops must unroll completely so each
+// accumulator gets its own register; GCC at -O2 keeps them in memory
+// otherwise.
+#if defined(__clang__)
+#define AUTOPIPE_UNROLL _Pragma("unroll")
+#elif defined(__GNUC__)
+#define AUTOPIPE_UNROLL _Pragma("GCC unroll 16")
+#else
+#define AUTOPIPE_UNROLL
+#endif
 
 namespace autopipe::model {
 
@@ -53,9 +71,6 @@ util::ThreadPool* ops_pool() {
 /// so the panel grid (and thus which task owns which output row) is
 /// identical for every thread count.
 constexpr int kPanelRows = 32;
-/// Column width of the GEMM register tiles: 4 rows x kTileJ accumulators
-/// (two SSE vectors wide) live in registers across the whole reduction.
-constexpr int kTileJ = 8;
 /// Below this many flops a kernel runs inline: pool handoff costs more
 /// than the loop (attention's per-head [s,s] matmuls live here).
 constexpr double kMinParallelFlops = 1 << 18;
@@ -79,15 +94,28 @@ void panel_for(int rows, double flops,
 
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 
-float gelu_one(float v) {
-  return 0.5f * v * (1.0f + std::tanh(kGeluC * (v + 0.044715f * v * v * v)));
+// GELU and its derivative share t = tanh(u); splitting them at t lets
+// gelu_forward_backward pay for one tanh while running exactly the
+// expressions gelu and gelu_backward run.
+float gelu_tanh(float v) {
+  return std::tanh(kGeluC * (v + 0.044715f * v * v * v));
 }
 
-float gelu_grad_one(float v) {
-  const float u = kGeluC * (v + 0.044715f * v * v * v);
-  const float t = std::tanh(u);
+float gelu_from_tanh(float v, float t) { return 0.5f * v * (1.0f + t); }
+
+float gelu_grad_from_tanh(float v, float t) {
   const float du = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
   return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+}
+
+float gelu_one(float v) { return gelu_from_tanh(v, gelu_tanh(v)); }
+
+float gelu_grad_one(float v) { return gelu_grad_from_tanh(v, gelu_tanh(v)); }
+
+void gelu_forward_backward_one(float v, float dy, float* y, float* dx) {
+  const float t = gelu_tanh(v);
+  *y = gelu_from_tanh(v, t);
+  *dx = dy * gelu_grad_from_tanh(v, t);
 }
 
 void layernorm_row(const float* row, const float* gamma, const float* beta,
@@ -300,6 +328,15 @@ Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
   return dx;
 }
 
+GeluGrads gelu_forward_backward(const Tensor& x, const Tensor& dy) {
+  require(x.same_shape(dy), "gelu_forward_backward: shape mismatch");
+  GeluGrads g{Tensor(x.shape()), Tensor(x.shape())};
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    gelu_forward_backward_one(x.at(i), dy.at(i), &g.y.at(i), &g.dx.at(i));
+  }
+  return g;
+}
+
 Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                  LayerNormCache* cache) {
   require(x.rank() == 2, "layernorm: rank");
@@ -428,394 +465,269 @@ double cross_entropy(const Tensor& logits, std::span<const int> targets,
 //
 // Bit-for-bit contract with ref:: -- for every output element the same
 // multiplications and additions happen in the same (ascending-index)
-// order; the kernels only (a) re-tile the loop nest so each B/dC tile is
-// reused across a whole row panel, (b) unroll across *independent*
-// accumulator chains so the FP-add latency of one chain overlaps the next
-// (the naive dot product is a single serial dependency chain -- the main
-// single-core win), and (c) hand disjoint row panels to pool workers.
+// order; the kernels only (a) re-tile the loop nest so each B strip is
+// reused across a whole row panel, (b) put *independent* output elements
+// in the lanes of a vector and in separate registers, so one element's
+// FP-add latency overlaps the others' (the naive loop is a serial
+// dependency chain per element), and (c) hand disjoint row panels to pool
+// workers.
+
+namespace detail {
+namespace {
+
+/// Columns [j0, n) of rows [i0, i1), one scalar chain per element: the
+/// tiles' ragged column tail, and the whole kernel off x86.
+void scalar_cols(StridedA a, const float* b, int k, int n, float* c, int i0,
+                 int i1, int j0) {
+  for (int i = i0; i < i1; ++i) {
+    const float* ar = a.p + i * a.row_stride;
+    float* cr = c + static_cast<std::ptrdiff_t>(i) * n;
+    for (int j = j0; j < n; ++j) {
+      const float* ap = ar;
+      const float* bp = b + j;
+      float s = 0;
+      for (int l = 0; l < k; ++l, ap += a.col_stride, bp += n) s += *ap * *bp;
+      cr[j] = s;
+    }
+  }
+}
+
+#if defined(AUTOPIPE_X86)
+// An R-row x NV-vector block of C held in registers across the whole
+// reduction. Each lane is ONE output element's accumulator, and packed
+// mul/add round per lane exactly like mulss/addss, so per lane this is the
+// scalar chain 0 + a0*b0 + a1*b1 + ... -- bitwise ref::. The SSE2 and AVX
+// blocks differ only in vector width.
+template <int R, int NV>
+inline void sse_block(StridedA a, const float* b, int k, int n, float* c,
+                      int i, int j) {
+  __m128 s[R][NV];
+  AUTOPIPE_UNROLL
+  for (int r = 0; r < R; ++r) {
+    AUTOPIPE_UNROLL
+    for (int v = 0; v < NV; ++v) s[r][v] = _mm_setzero_ps();
+  }
+  const float* ap = a.p + i * a.row_stride;
+  const float* bp = b + j;
+  for (int l = 0; l < k; ++l, ap += a.col_stride, bp += n) {
+    __m128 bv[NV];
+    AUTOPIPE_UNROLL
+    for (int v = 0; v < NV; ++v) bv[v] = _mm_loadu_ps(bp + 4 * v);
+    AUTOPIPE_UNROLL
+    for (int r = 0; r < R; ++r) {
+      const __m128 w = _mm_set1_ps(ap[r * a.row_stride]);
+      AUTOPIPE_UNROLL
+      for (int v = 0; v < NV; ++v) {
+        s[r][v] = _mm_add_ps(s[r][v], _mm_mul_ps(w, bv[v]));
+      }
+    }
+  }
+  AUTOPIPE_UNROLL
+  for (int r = 0; r < R; ++r) {
+    float* cr = c + static_cast<std::ptrdiff_t>(i + r) * n + j;
+    AUTOPIPE_UNROLL
+    for (int v = 0; v < NV; ++v) _mm_storeu_ps(cr + 4 * v, s[r][v]);
+  }
+}
+
+template <int NV>
+void sse_strip(StridedA a, const float* b, int k, int n, float* c, int i0,
+               int i1, int j) {
+  int i = i0;
+  for (; i + 4 <= i1; i += 4) sse_block<4, NV>(a, b, k, n, c, i, j);
+  for (; i < i1; ++i) sse_block<1, NV>(a, b, k, n, c, i, j);
+}
+
+template <int R, int NV>
+AUTOPIPE_AVX inline void avx_block(StridedA a, const float* b, int k, int n,
+                                   float* c, int i, int j) {
+  __m256 s[R][NV];
+  AUTOPIPE_UNROLL
+  for (int r = 0; r < R; ++r) {
+    AUTOPIPE_UNROLL
+    for (int v = 0; v < NV; ++v) s[r][v] = _mm256_setzero_ps();
+  }
+  const float* ap = a.p + i * a.row_stride;
+  const float* bp = b + j;
+  for (int l = 0; l < k; ++l, ap += a.col_stride, bp += n) {
+    __m256 bv[NV];
+    AUTOPIPE_UNROLL
+    for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(bp + 8 * v);
+    AUTOPIPE_UNROLL
+    for (int r = 0; r < R; ++r) {
+      const __m256 w = _mm256_set1_ps(ap[r * a.row_stride]);
+      AUTOPIPE_UNROLL
+      for (int v = 0; v < NV; ++v) {
+        s[r][v] = _mm256_add_ps(s[r][v], _mm256_mul_ps(w, bv[v]));
+      }
+    }
+  }
+  AUTOPIPE_UNROLL
+  for (int r = 0; r < R; ++r) {
+    float* cr = c + static_cast<std::ptrdiff_t>(i + r) * n + j;
+    AUTOPIPE_UNROLL
+    for (int v = 0; v < NV; ++v) _mm256_storeu_ps(cr + 8 * v, s[r][v]);
+  }
+}
+
+template <int NV>
+AUTOPIPE_AVX void avx_strip(StridedA a, const float* b, int k, int n,
+                            float* c, int i0, int i1, int j) {
+  int i = i0;
+  for (; i + 4 <= i1; i += 4) avx_block<4, NV>(a, b, k, n, c, i, j);
+  for (; i < i1; ++i) avx_block<1, NV>(a, b, k, n, c, i, j);
+}
+#endif
+
+/// bt[j, l] = b[l, j] for b of shape [k, n], in 4x4 register blocks: four
+/// rows of b are read contiguously and land in four columns of bt.
+void transpose(const float* b, int k, int n, float* bt) {
+  int l = 0;
+#if defined(AUTOPIPE_X86)
+  for (; l + 4 <= k; l += 4) {
+    const float* b0 = b + static_cast<std::ptrdiff_t>(l) * n;
+    int j = 0;
+    for (; j + 4 <= n; j += 4) {
+      __m128 r0 = _mm_loadu_ps(b0 + j);
+      __m128 r1 = _mm_loadu_ps(b0 + n + j);
+      __m128 r2 = _mm_loadu_ps(b0 + 2 * n + j);
+      __m128 r3 = _mm_loadu_ps(b0 + 3 * n + j);
+      _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+      float* t = bt + static_cast<std::ptrdiff_t>(j) * k + l;
+      _mm_storeu_ps(t, r0);
+      _mm_storeu_ps(t + k, r1);
+      _mm_storeu_ps(t + 2 * k, r2);
+      _mm_storeu_ps(t + 3 * k, r3);
+    }
+    for (; j < n; ++j) {
+      for (int r = 0; r < 4; ++r) {
+        bt[static_cast<std::ptrdiff_t>(j) * k + l + r] = b0[r * n + j];
+      }
+    }
+  }
+#endif
+  for (; l < k; ++l) {
+    for (int j = 0; j < n; ++j) {
+      bt[static_cast<std::ptrdiff_t>(j) * k + l] =
+          b[static_cast<std::ptrdiff_t>(l) * n + j];
+    }
+  }
+}
+
+/// Runs `tile` over the m output rows in fixed panels.
+void run_tile(GemmTile tile, StridedA a, const float* b, int m, int k, int n,
+              float* c) {
+  panel_for(m, 2.0 * m * k * n,
+            [&](int i0, int i1) { tile(a, b, k, n, c, i0, i1); });
+}
+
+}  // namespace
+
+// Column strips outermost, row blocks inside: one panel's row blocks reuse
+// a B strip (k x tile-width floats) while it is still in L1.
+void gemm_tile_sse2(StridedA a, const float* b, int k, int n, float* c,
+                    int i0, int i1) {
+  int j = 0;
+#if defined(AUTOPIPE_X86)
+  for (; j + 8 <= n; j += 8) sse_strip<2>(a, b, k, n, c, i0, i1, j);
+  if (j + 4 <= n) {
+    sse_strip<1>(a, b, k, n, c, i0, i1, j);
+    j += 4;
+  }
+#endif
+  scalar_cols(a, b, k, n, c, i0, i1, j);
+}
+
+#if defined(AUTOPIPE_X86)
+AUTOPIPE_AVX void gemm_tile_avx(StridedA a, const float* b, int k, int n,
+                                float* c, int i0, int i1) {
+  int j = 0;
+  for (; j + 16 <= n; j += 16) avx_strip<2>(a, b, k, n, c, i0, i1, j);
+  if (j + 8 <= n) {
+    avx_strip<1>(a, b, k, n, c, i0, i1, j);
+    j += 8;
+  }
+  scalar_cols(a, b, k, n, c, i0, i1, j);
+}
+
+bool cpu_has_avx() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx");
+}
+#else
+void gemm_tile_avx(StridedA a, const float* b, int k, int n, float* c,
+                   int i0, int i1) {
+  gemm_tile_sse2(a, b, k, n, c, i0, i1);
+}
+
+bool cpu_has_avx() { return false; }
+#endif
+
+Tensor matmul(GemmTile tile, const Tensor& a, const Tensor& b) {
+  check_matmul(a, b);
+  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  Tensor c = Tensor::uninitialized({m, n});  // the tile stores every element
+  run_tile(tile, {a.data(), k, 1}, b.data(), m, k, n, c.data());
+  return c;
+}
+
+Tensor matmul_grad_a(GemmTile tile, const Tensor& dc, const Tensor& b) {
+  check_grad_a(dc, b);
+  const int m = dc.dim(0), n = dc.dim(1), k = b.dim(0);
+  // dA[i, l] = sum_j dC[i, j] * B[l, j] = (dC * B^T)[i, l]: with B^T packed
+  // the reduction over j runs down the tile's rows, and the lanes span
+  // independent outputs l -- ascending j per element, as in ref::.
+  Tensor bt = Tensor::uninitialized({n, k});
+  transpose(b.data(), k, n, bt.data());
+  Tensor da = Tensor::uninitialized({m, k});
+  run_tile(tile, {dc.data(), n, 1}, bt.data(), m, n, k, da.data());
+  return da;
+}
+
+Tensor matmul_grad_b(GemmTile tile, const Tensor& a, const Tensor& dc) {
+  check_grad_b(a, dc);
+  const int m = a.dim(0), k = a.dim(1), n = dc.dim(1);
+  // dB = A^T * dC: A^T(l, i) = a[i * k + l], read through swapped strides;
+  // panels run over dB's k rows and each element sums in ascending i.
+  Tensor db = Tensor::uninitialized({k, n});
+  run_tile(tile, {a.data(), 1, k}, dc.data(), k, m, n, db.data());
+  return db;
+}
+
+}  // namespace detail
+
+namespace {
+
+detail::GemmTile active_tile() {
+  static const detail::GemmTile tile = detail::cpu_has_avx()
+                                           ? detail::gemm_tile_avx
+                                           : detail::gemm_tile_sse2;
+  return tile;
+}
+
+}  // namespace
+
+const char* kernel_isa() {
+#if defined(AUTOPIPE_X86)
+  return active_tile() == detail::gemm_tile_avx ? "avx" : "sse2";
+#else
+  return "scalar";
+#endif
+}
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   if (!fast_ops_enabled()) return ref::matmul(a, b);
-  check_matmul(a, b);
-  const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c = Tensor::uninitialized({m, n});  // every element stored below
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  const double flops = 2.0 * m * k * n;
-  // Register-tiled: a 4-row x kTileJ-column block of C lives in registers
-  // across the whole l loop (one accumulator per element, l ascending --
-  // the ref order, since 0 + sum == ref's zero-init accumulate), so each
-  // B element loaded feeds 4 outputs and C is stored exactly once.
-  panel_for(m, flops, [&](int i0, int i1) {
-    int i = i0;
-    for (; i + 4 <= i1; i += 4) {
-      const float* a0 = pa + static_cast<std::size_t>(i) * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      float* c0 = pc + static_cast<std::size_t>(i) * n;
-      float* c1 = c0 + n;
-      float* c2 = c1 + n;
-      float* c3 = c2 + n;
-      int j = 0;
-#if defined(__SSE2__)
-      // Packed variant of the scalar tile below: each xmm lane holds ONE
-      // output element's accumulator, so per lane the mul/add sequence
-      // (and its per-step rounding) is exactly the scalar chain -- packed
-      // single-precision ops round per lane like mulss/addss and nothing
-      // here contracts to FMA. Bitwise equal to ref::, just 4 lanes wide.
-      for (; j + kTileJ <= n; j += kTileJ) {
-        __m128 s0a = _mm_setzero_ps(), s0b = _mm_setzero_ps();
-        __m128 s1a = _mm_setzero_ps(), s1b = _mm_setzero_ps();
-        __m128 s2a = _mm_setzero_ps(), s2b = _mm_setzero_ps();
-        __m128 s3a = _mm_setzero_ps(), s3b = _mm_setzero_ps();
-        const float* bp = pb + j;
-        for (int l = 0; l < k; ++l, bp += n) {
-          const __m128 bva = _mm_loadu_ps(bp);
-          const __m128 bvb = _mm_loadu_ps(bp + 4);
-          __m128 w = _mm_set1_ps(a0[l]);
-          s0a = _mm_add_ps(s0a, _mm_mul_ps(w, bva));
-          s0b = _mm_add_ps(s0b, _mm_mul_ps(w, bvb));
-          w = _mm_set1_ps(a1[l]);
-          s1a = _mm_add_ps(s1a, _mm_mul_ps(w, bva));
-          s1b = _mm_add_ps(s1b, _mm_mul_ps(w, bvb));
-          w = _mm_set1_ps(a2[l]);
-          s2a = _mm_add_ps(s2a, _mm_mul_ps(w, bva));
-          s2b = _mm_add_ps(s2b, _mm_mul_ps(w, bvb));
-          w = _mm_set1_ps(a3[l]);
-          s3a = _mm_add_ps(s3a, _mm_mul_ps(w, bva));
-          s3b = _mm_add_ps(s3b, _mm_mul_ps(w, bvb));
-        }
-        _mm_storeu_ps(c0 + j, s0a);
-        _mm_storeu_ps(c0 + j + 4, s0b);
-        _mm_storeu_ps(c1 + j, s1a);
-        _mm_storeu_ps(c1 + j + 4, s1b);
-        _mm_storeu_ps(c2 + j, s2a);
-        _mm_storeu_ps(c2 + j + 4, s2b);
-        _mm_storeu_ps(c3 + j, s3a);
-        _mm_storeu_ps(c3 + j + 4, s3b);
-      }
-#else
-      for (; j + kTileJ <= n; j += kTileJ) {
-        float s0[kTileJ] = {}, s1[kTileJ] = {}, s2[kTileJ] = {},
-              s3[kTileJ] = {};
-        const float* bp = pb + j;
-        for (int l = 0; l < k; ++l, bp += n) {
-          const float w0 = a0[l], w1 = a1[l], w2 = a2[l], w3 = a3[l];
-          for (int t = 0; t < kTileJ; ++t) {
-            const float bv = bp[t];
-            s0[t] += w0 * bv;
-            s1[t] += w1 * bv;
-            s2[t] += w2 * bv;
-            s3[t] += w3 * bv;
-          }
-        }
-        for (int t = 0; t < kTileJ; ++t) {
-          c0[j + t] = s0[t];
-          c1[j + t] = s1[t];
-          c2[j + t] = s2[t];
-          c3[j + t] = s3[t];
-        }
-      }
-#endif
-      for (; j < n; ++j) {  // ragged column tail: strided scalar dots
-        const float* bp = pb + j;
-        float s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-        for (int l = 0; l < k; ++l, bp += n) {
-          const float bv = bp[0];
-          s0 += a0[l] * bv;
-          s1 += a1[l] * bv;
-          s2 += a2[l] * bv;
-          s3 += a3[l] * bv;
-        }
-        c0[j] = s0;
-        c1[j] = s1;
-        c2[j] = s2;
-        c3[j] = s3;
-      }
-    }
-    for (; i < i1; ++i) {  // ragged row tail: single-row tiles
-      const float* ar = pa + static_cast<std::size_t>(i) * k;
-      float* cr = pc + static_cast<std::size_t>(i) * n;
-      int j = 0;
-#if defined(__SSE2__)
-      for (; j + kTileJ <= n; j += kTileJ) {
-        __m128 sa = _mm_setzero_ps(), sb = _mm_setzero_ps();
-        const float* bp = pb + j;
-        for (int l = 0; l < k; ++l, bp += n) {
-          const __m128 w = _mm_set1_ps(ar[l]);
-          sa = _mm_add_ps(sa, _mm_mul_ps(w, _mm_loadu_ps(bp)));
-          sb = _mm_add_ps(sb, _mm_mul_ps(w, _mm_loadu_ps(bp + 4)));
-        }
-        _mm_storeu_ps(cr + j, sa);
-        _mm_storeu_ps(cr + j + 4, sb);
-      }
-#else
-      for (; j + kTileJ <= n; j += kTileJ) {
-        float s[kTileJ] = {};
-        const float* bp = pb + j;
-        for (int l = 0; l < k; ++l, bp += n) {
-          const float w = ar[l];
-          for (int t = 0; t < kTileJ; ++t) s[t] += w * bp[t];
-        }
-        for (int t = 0; t < kTileJ; ++t) cr[j + t] = s[t];
-      }
-#endif
-      for (; j < n; ++j) {
-        const float* bp = pb + j;
-        float s = 0;
-        for (int l = 0; l < k; ++l, bp += n) s += ar[l] * bp[0];
-        cr[j] = s;
-      }
-    }
-  });
-  return c;
+  return detail::matmul(active_tile(), a, b);
 }
 
 Tensor matmul_grad_a(const Tensor& dc, const Tensor& b) {
   if (!fast_ops_enabled()) return ref::matmul_grad_a(dc, b);
-  check_grad_a(dc, b);
-  const int m = dc.dim(0), n = dc.dim(1), k = b.dim(0);
-  Tensor da = Tensor::uninitialized({m, k});  // every element assigned
-  const float* pdc = dc.data();
-  const float* pb = b.data();
-  float* pda = da.data();
-  const double flops = 2.0 * m * k * n;
-  // The reduction here runs along rows (a dot over j), so the serial
-  // FP-add chain of each output element cannot be vectorized without
-  // reassociating -- instead, 2 dA rows x 8 columns = 16 independent
-  // chains (each in the reference's ascending-j order) overlap the add
-  // latency, and every B element loaded feeds both rows.
-  panel_for(m, flops, [&](int i0, int i1) {
-    int i = i0;
-    for (; i + 2 <= i1; i += 2) {
-      const float* dc0 = pdc + static_cast<std::size_t>(i) * n;
-      const float* dc1 = dc0 + n;
-      float* da0 = pda + static_cast<std::size_t>(i) * k;
-      float* da1 = da0 + k;
-      int l = 0;
-      for (; l + 8 <= k; l += 8) {
-        const float* b0 = pb + static_cast<std::size_t>(l) * n;
-        const float* b1 = b0 + n;
-        const float* b2 = b1 + n;
-        const float* b3 = b2 + n;
-        const float* b4 = b3 + n;
-        const float* b5 = b4 + n;
-        const float* b6 = b5 + n;
-        const float* b7 = b6 + n;
-        float s0[8] = {}, s1[8] = {};
-        for (int j = 0; j < n; ++j) {
-          const float d0 = dc0[j], d1 = dc1[j];
-          const float v0 = b0[j], v1 = b1[j], v2 = b2[j], v3 = b3[j];
-          const float v4 = b4[j], v5 = b5[j], v6 = b6[j], v7 = b7[j];
-          s0[0] += d0 * v0;
-          s0[1] += d0 * v1;
-          s0[2] += d0 * v2;
-          s0[3] += d0 * v3;
-          s0[4] += d0 * v4;
-          s0[5] += d0 * v5;
-          s0[6] += d0 * v6;
-          s0[7] += d0 * v7;
-          s1[0] += d1 * v0;
-          s1[1] += d1 * v1;
-          s1[2] += d1 * v2;
-          s1[3] += d1 * v3;
-          s1[4] += d1 * v4;
-          s1[5] += d1 * v5;
-          s1[6] += d1 * v6;
-          s1[7] += d1 * v7;
-        }
-        for (int t = 0; t < 8; ++t) {
-          da0[l + t] = s0[t];
-          da1[l + t] = s1[t];
-        }
-      }
-      for (; l < k; ++l) {
-        const float* brow = pb + static_cast<std::size_t>(l) * n;
-        float acc0 = 0, acc1 = 0;
-        for (int j = 0; j < n; ++j) {
-          const float bv = brow[j];
-          acc0 += dc0[j] * bv;
-          acc1 += dc1[j] * bv;
-        }
-        da0[l] = acc0;
-        da1[l] = acc1;
-      }
-    }
-    for (; i < i1; ++i) {  // ragged row tail: single-row, 8 chains
-      const float* dcrow = pdc + static_cast<std::size_t>(i) * n;
-      float* darow = pda + static_cast<std::size_t>(i) * k;
-      int l = 0;
-      for (; l + 8 <= k; l += 8) {
-        const float* b0 = pb + static_cast<std::size_t>(l) * n;
-        const float* b1 = b0 + n;
-        const float* b2 = b1 + n;
-        const float* b3 = b2 + n;
-        const float* b4 = b3 + n;
-        const float* b5 = b4 + n;
-        const float* b6 = b5 + n;
-        const float* b7 = b6 + n;
-        float s[8] = {};
-        for (int j = 0; j < n; ++j) {
-          const float d = dcrow[j];
-          s[0] += d * b0[j];
-          s[1] += d * b1[j];
-          s[2] += d * b2[j];
-          s[3] += d * b3[j];
-          s[4] += d * b4[j];
-          s[5] += d * b5[j];
-          s[6] += d * b6[j];
-          s[7] += d * b7[j];
-        }
-        for (int t = 0; t < 8; ++t) darow[l + t] = s[t];
-      }
-      for (; l < k; ++l) {
-        const float* brow = pb + static_cast<std::size_t>(l) * n;
-        float acc = 0;
-        for (int j = 0; j < n; ++j) acc += dcrow[j] * brow[j];
-        darow[l] = acc;
-      }
-    }
-  });
-  return da;
+  return detail::matmul_grad_a(active_tile(), dc, b);
 }
 
 Tensor matmul_grad_b(const Tensor& a, const Tensor& dc) {
   if (!fast_ops_enabled()) return ref::matmul_grad_b(a, dc);
-  check_grad_b(a, dc);
-  const int m = a.dim(0), k = a.dim(1), n = dc.dim(1);
-  Tensor db = Tensor::uninitialized({k, n});  // every element stored below
-  const float* pa = a.data();
-  const float* pdc = dc.data();
-  float* pdb = db.data();
-  const double flops = 2.0 * m * k * n;
-  // Panels over dB rows (the k axis): each output row is owned by one
-  // task. A 4-row x kTileJ block of dB lives in registers across the whole
-  // i reduction (ascending i, one accumulator per element -- the ref
-  // order), so each dC element loaded feeds 4 outputs.
-  panel_for(k, flops, [&](int l0, int l1) {
-    int l = l0;
-    for (; l + 4 <= l1; l += 4) {
-      float* o0 = pdb + static_cast<std::size_t>(l) * n;
-      float* o1 = o0 + n;
-      float* o2 = o1 + n;
-      float* o3 = o2 + n;
-      int j = 0;
-#if defined(__SSE2__)
-      // Same lane-per-element layout as the fast matmul tile: packed ops
-      // reproduce the scalar per-element chains (ascending i) bit for bit.
-      for (; j + kTileJ <= n; j += kTileJ) {
-        __m128 s0a = _mm_setzero_ps(), s0b = _mm_setzero_ps();
-        __m128 s1a = _mm_setzero_ps(), s1b = _mm_setzero_ps();
-        __m128 s2a = _mm_setzero_ps(), s2b = _mm_setzero_ps();
-        __m128 s3a = _mm_setzero_ps(), s3b = _mm_setzero_ps();
-        const float* ap = pa + l;   // a[i, l + t] == ap[t] at row i
-        const float* dp = pdc + j;  // dc[i, j + t] == dp[t] at row i
-        for (int i = 0; i < m; ++i, ap += k, dp += n) {
-          const __m128 dva = _mm_loadu_ps(dp);
-          const __m128 dvb = _mm_loadu_ps(dp + 4);
-          __m128 w = _mm_set1_ps(ap[0]);
-          s0a = _mm_add_ps(s0a, _mm_mul_ps(w, dva));
-          s0b = _mm_add_ps(s0b, _mm_mul_ps(w, dvb));
-          w = _mm_set1_ps(ap[1]);
-          s1a = _mm_add_ps(s1a, _mm_mul_ps(w, dva));
-          s1b = _mm_add_ps(s1b, _mm_mul_ps(w, dvb));
-          w = _mm_set1_ps(ap[2]);
-          s2a = _mm_add_ps(s2a, _mm_mul_ps(w, dva));
-          s2b = _mm_add_ps(s2b, _mm_mul_ps(w, dvb));
-          w = _mm_set1_ps(ap[3]);
-          s3a = _mm_add_ps(s3a, _mm_mul_ps(w, dva));
-          s3b = _mm_add_ps(s3b, _mm_mul_ps(w, dvb));
-        }
-        _mm_storeu_ps(o0 + j, s0a);
-        _mm_storeu_ps(o0 + j + 4, s0b);
-        _mm_storeu_ps(o1 + j, s1a);
-        _mm_storeu_ps(o1 + j + 4, s1b);
-        _mm_storeu_ps(o2 + j, s2a);
-        _mm_storeu_ps(o2 + j + 4, s2b);
-        _mm_storeu_ps(o3 + j, s3a);
-        _mm_storeu_ps(o3 + j + 4, s3b);
-      }
-#else
-      for (; j + kTileJ <= n; j += kTileJ) {
-        float s0[kTileJ] = {}, s1[kTileJ] = {}, s2[kTileJ] = {},
-              s3[kTileJ] = {};
-        const float* ap = pa + l;   // a[i, l + t] == ap[t] at row i
-        const float* dp = pdc + j;  // dc[i, j + t] == dp[t] at row i
-        for (int i = 0; i < m; ++i, ap += k, dp += n) {
-          const float w0 = ap[0], w1 = ap[1], w2 = ap[2], w3 = ap[3];
-          for (int t = 0; t < kTileJ; ++t) {
-            const float dv = dp[t];
-            s0[t] += w0 * dv;
-            s1[t] += w1 * dv;
-            s2[t] += w2 * dv;
-            s3[t] += w3 * dv;
-          }
-        }
-        for (int t = 0; t < kTileJ; ++t) {
-          o0[j + t] = s0[t];
-          o1[j + t] = s1[t];
-          o2[j + t] = s2[t];
-          o3[j + t] = s3[t];
-        }
-      }
-#endif
-      for (; j < n; ++j) {  // ragged column tail
-        const float* ap = pa + l;
-        const float* dp = pdc + j;
-        float s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-        for (int i = 0; i < m; ++i, ap += k, dp += n) {
-          const float dv = dp[0];
-          s0 += ap[0] * dv;
-          s1 += ap[1] * dv;
-          s2 += ap[2] * dv;
-          s3 += ap[3] * dv;
-        }
-        o0[j] = s0;
-        o1[j] = s1;
-        o2[j] = s2;
-        o3[j] = s3;
-      }
-    }
-    for (; l < l1; ++l) {  // ragged row tail: single-row tiles
-      float* orow = pdb + static_cast<std::size_t>(l) * n;
-      int j = 0;
-#if defined(__SSE2__)
-      for (; j + kTileJ <= n; j += kTileJ) {
-        __m128 sa = _mm_setzero_ps(), sb = _mm_setzero_ps();
-        const float* ap = pa + l;
-        const float* dp = pdc + j;
-        for (int i = 0; i < m; ++i, ap += k, dp += n) {
-          const __m128 w = _mm_set1_ps(ap[0]);
-          sa = _mm_add_ps(sa, _mm_mul_ps(w, _mm_loadu_ps(dp)));
-          sb = _mm_add_ps(sb, _mm_mul_ps(w, _mm_loadu_ps(dp + 4)));
-        }
-        _mm_storeu_ps(orow + j, sa);
-        _mm_storeu_ps(orow + j + 4, sb);
-      }
-#else
-      for (; j + kTileJ <= n; j += kTileJ) {
-        float s[kTileJ] = {};
-        const float* ap = pa + l;
-        const float* dp = pdc + j;
-        for (int i = 0; i < m; ++i, ap += k, dp += n) {
-          const float w = ap[0];
-          for (int t = 0; t < kTileJ; ++t) s[t] += w * dp[t];
-        }
-        for (int t = 0; t < kTileJ; ++t) orow[j + t] = s[t];
-      }
-#endif
-      for (; j < n; ++j) {
-        const float* ap = pa + l;
-        const float* dp = pdc + j;
-        float s = 0;
-        for (int i = 0; i < m; ++i, ap += k, dp += n) s += ap[0] * dp[0];
-        orow[j] = s;
-      }
-    }
-  });
-  return db;
+  return detail::matmul_grad_b(active_tile(), a, dc);
 }
 
 Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
@@ -902,6 +814,25 @@ Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
     for (int i = e0; i < e1; ++i) pdx[i] = pdy[i] * gelu_grad_one(px[i]);
   });
   return dx;
+}
+
+GeluGrads gelu_forward_backward(const Tensor& x, const Tensor& dy) {
+  if (!fast_ops_enabled()) return ref::gelu_forward_backward(x, dy);
+  require(x.same_shape(dy), "gelu_forward_backward: shape mismatch");
+  GeluGrads g{Tensor::uninitialized(x.shape()),
+              Tensor::uninitialized(x.shape())};
+  const float* px = x.data();
+  const float* pdy = dy.data();
+  float* py = g.y.data();
+  float* pdx = g.dx.data();
+  const int total = static_cast<int>(x.numel());
+  panel_for((total + 255) / 256, 32.0 * total, [&](int c0, int c1) {
+    const int e0 = c0 * 256, e1 = std::min(total, c1 * 256);
+    for (int i = e0; i < e1; ++i) {
+      gelu_forward_backward_one(px[i], pdy[i], py + i, pdx + i);
+    }
+  });
+  return g;
 }
 
 Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,

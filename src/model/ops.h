@@ -10,13 +10,18 @@
 //  - model::ref:: -- the retained naive reference: plain loops, one
 //    accumulator per output element, summation in index order. This is the
 //    semantic ground truth of the op-level golden tests.
-//  - the default fast path -- cache-blocked, ILP-unrolled kernels that fan
-//    row panels out over a shared thread pool. The kernels perform, for
-//    every output element, the *same additions in the same order* as the
-//    reference (panels only re-tile the iteration space, and each output
-//    element is owned by exactly one task), so results are bit-identical
-//    to ref:: at every thread count. tests/ops_golden_test.cpp enforces
-//    this for every primitive, including ragged panel-edge shapes.
+//  - the default fast path -- one register-tiled GEMM kernel behind all
+//    three matmuls (an AVX 4x16 tile when the CPU has AVX, else an SSE2 4x8
+//    tile, picked once per process; see kernel_isa()) plus row and
+//    elementwise kernels, fanned out over fixed row panels on a shared
+//    thread pool. Vector lanes run across independent output elements,
+//    never along a reduction: each output keeps one accumulator, adds in
+//    the reference's ascending order and rounds the multiply before the
+//    add (FMA is the one forbidden instruction; the library builds with
+//    -ffp-contract=off so the compiler cannot fuse either side). Results
+//    are therefore bit-identical to ref:: for either tile and at every
+//    thread count. tests/ops_golden_test.cpp enforces this for every
+//    primitive, including ragged panel- and tile-edge shapes.
 //
 // set_fast_ops(false) routes the public entry points through ref::, which
 // is how the naive-vs-fast end-to-end equivalence sweeps and the hot-path
@@ -42,6 +47,10 @@ int ops_threads();
 /// through the naive model::ref:: implementations.
 void set_fast_ops(bool enabled);
 bool fast_ops_enabled();
+
+/// The GEMM tile this process runs: "avx" or "sse2" ("scalar" off x86).
+/// Chosen once from the CPU's features; both produce the same bits.
+const char* kernel_isa();
 
 // ------------------------------------------------------------- primitives
 
@@ -78,6 +87,12 @@ LinearWeightGrads linear_backward_weight(const Tensor& x, const Tensor& dy);
 /// GELU, tanh approximation (as GPT-2 uses).
 Tensor gelu(const Tensor& x);
 Tensor gelu_backward(const Tensor& x, const Tensor& dy);
+/// {gelu(x), gelu_backward(x, dy)} from one tanh per element -- the same
+/// expressions as the two separate ops, so the same bits.
+struct GeluGrads {
+  Tensor y, dx;
+};
+GeluGrads gelu_forward_backward(const Tensor& x, const Tensor& dy);
 
 /// Per-row layer norm with scale gamma and shift beta (both [features]).
 struct LayerNormCache {
@@ -141,6 +156,7 @@ Tensor linear_backward_input(const Tensor& w, const Tensor& dy);
 LinearWeightGrads linear_backward_weight(const Tensor& x, const Tensor& dy);
 Tensor gelu(const Tensor& x);
 Tensor gelu_backward(const Tensor& x, const Tensor& dy);
+GeluGrads gelu_forward_backward(const Tensor& x, const Tensor& dy);
 Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                  LayerNormCache* cache);
 LayerNormGrads layernorm_backward(const LayerNormCache& cache,

@@ -9,9 +9,12 @@
 
 #include <array>
 #include <cstring>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "model/ops.h"
+#include "model/ops_detail.h"
 #include "util/rng.h"
 
 namespace autopipe::model {
@@ -36,14 +39,18 @@ Tensor randn(std::vector<int> shape, util::Rng& rng) {
   return Tensor::randn(std::move(shape), rng, 0.5f);
 }
 
-/// (m, k, n) GEMM shapes straddling the panel (32) and tile (4x8) edges:
-/// exact multiples, one-off raggedness in every dimension, and degenerate
-/// single-row/column cases.
+/// (m, k, n) GEMM shapes straddling the panel (32) and tile (4x8 SSE2,
+/// 4x16 AVX) edges: exact multiples, one-off raggedness in every dimension,
+/// degenerate single-row/column cases, n on both sides of 16 and 32, and
+/// the train benchmark's own layer shapes with their 32-row sliced halves.
 const std::vector<std::array<int, 3>>& gemm_shapes() {
   static const std::vector<std::array<int, 3>> shapes = {
-      {1, 1, 1},    {3, 5, 7},     {32, 32, 32}, {33, 17, 41},
-      {31, 8, 9},   {64, 63, 65},  {7, 129, 5},  {65, 24, 16},
-      {2, 16, 130}, {40, 128, 96},
+      {1, 1, 1},     {3, 5, 7},      {32, 32, 32},   {33, 17, 41},
+      {31, 8, 9},    {64, 63, 65},   {7, 129, 5},    {65, 24, 16},
+      {2, 16, 130},  {40, 128, 96},  {9, 20, 15},    {9, 20, 16},
+      {9, 20, 17},   {6, 33, 31},    {6, 33, 33},    {64, 128, 384},
+      {64, 128, 512}, {64, 512, 128}, {64, 128, 256}, {16, 128, 128},
+      {32, 128, 384}, {32, 128, 512}, {32, 512, 128}, {32, 128, 256},
   };
   return shapes;
 }
@@ -166,6 +173,26 @@ TEST_P(OpsGoldenThreads, SplitBackwardPrimitivesBitIdentical) {
   }
 }
 
+TEST_P(OpsGoldenThreads, GeluForwardBackwardMatchesSeparateOps) {
+  // One tanh per element must still give exactly gelu's and
+  // gelu_backward's bits.
+  util::Rng rng(19 + GetParam());
+  for (const auto& [rows, d] : std::vector<std::array<int, 2>>{
+           {1, 1}, {3, 19}, {33, 65}, {257, 3}, {64, 512}}) {
+    SCOPED_TRACE(testing::Message() << rows << "x" << d);
+    const Tensor x = randn({rows, d}, rng);
+    const Tensor dy = randn({rows, d}, rng);
+    const Tensor want_y = ref::gelu(x);
+    const Tensor want_dx = ref::gelu_backward(x, dy);
+    const GeluGrads fast = gelu_forward_backward(x, dy);
+    expect_bits(fast.y, want_y, "gelu_forward_backward.y");
+    expect_bits(fast.dx, want_dx, "gelu_forward_backward.dx");
+    const GeluGrads naive = ref::gelu_forward_backward(x, dy);
+    expect_bits(naive.y, want_y, "ref::gelu_forward_backward.y");
+    expect_bits(naive.dx, want_dx, "ref::gelu_forward_backward.dx");
+  }
+}
+
 TEST_P(OpsGoldenThreads, CrossEntropyBitIdenticalIncludingLossSum) {
   util::Rng rng(13 + GetParam());
   for (const int rows : {1, 5, 33, 64, 100}) {
@@ -191,6 +218,63 @@ TEST_P(OpsGoldenThreads, CrossEntropyBitIdenticalIncludingLossSum) {
 // Bit-identity must hold for every choice because panels are fixed-size
 // and never derived from the worker count.
 INSTANTIATE_TEST_SUITE_P(Threads, OpsGoldenThreads, testing::Values(1, 2, 0));
+
+// Each GEMM tile, called directly rather than through the process-wide
+// dispatch, so the SSE2 fallback stays pinned on hosts that pick AVX.
+struct TileCase {
+  const char* name;
+  detail::GemmTile tile;
+  int threads;
+};
+
+void PrintTo(const TileCase& c, std::ostream* os) {
+  *os << c.name << " threads " << c.threads;
+}
+
+class OpsGoldenTile : public testing::TestWithParam<TileCase> {
+ protected:
+  void SetUp() override {
+    if (GetParam().tile == detail::gemm_tile_avx && !detail::cpu_has_avx()) {
+      GTEST_SKIP() << "CPU lacks AVX";
+    }
+    set_ops_threads(GetParam().threads);
+  }
+  void TearDown() override { set_ops_threads(1); }
+};
+
+TEST_P(OpsGoldenTile, GemmFamilyBitIdenticalToReference) {
+  const detail::GemmTile tile = GetParam().tile;
+  util::Rng rng(23 + GetParam().threads);
+  for (const auto& [m, k, n] : gemm_shapes()) {
+    SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+    const Tensor a = randn({m, k}, rng);
+    const Tensor b = randn({k, n}, rng);
+    const Tensor dc = randn({m, n}, rng);
+    expect_bits(detail::matmul(tile, a, b), ref::matmul(a, b), "matmul");
+    expect_bits(detail::matmul_grad_a(tile, dc, b), ref::matmul_grad_a(dc, b),
+                "matmul_grad_a");
+    expect_bits(detail::matmul_grad_b(tile, a, dc), ref::matmul_grad_b(a, dc),
+                "matmul_grad_b");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiles, OpsGoldenTile,
+    testing::Values(TileCase{"sse2", detail::gemm_tile_sse2, 1},
+                    TileCase{"sse2", detail::gemm_tile_sse2, 2},
+                    TileCase{"sse2", detail::gemm_tile_sse2, 0},
+                    TileCase{"avx", detail::gemm_tile_avx, 1},
+                    TileCase{"avx", detail::gemm_tile_avx, 2},
+                    TileCase{"avx", detail::gemm_tile_avx, 0}),
+    [](const testing::TestParamInfo<TileCase>& info) {
+      return std::string(info.param.name) + "_threads" +
+             std::to_string(info.param.threads);
+    });
+
+TEST(OpsGolden, KernelIsaNamesTheDispatchedTile) {
+  const std::string isa = kernel_isa();
+  EXPECT_EQ(isa, detail::cpu_has_avx() ? "avx" : "sse2");
+}
 
 TEST(OpsGolden, DisablingFastOpsRoutesThroughReference) {
   util::Rng rng(3);
