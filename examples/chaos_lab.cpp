@@ -12,10 +12,11 @@
 //                     cancel it, the incident must classify as Hang, and
 //                     the finished run must still be bit-identical.
 //   chaos_lab degrade --dir PATH [flags]  device loss without a spare: the
-//                     supervisor restores the newest checkpoint resharded
-//                     onto N-1 survivors (Degrade mode) and finishes within
-//                     1e-4 of the unfaulted run (same math, different
-//                     gradient accumulation order).
+//                     supervisor reshards the newest checkpoint (or, before
+//                     the first one, the live state) onto N-1 survivors
+//                     (Degrade mode) and finishes within 1e-4 of the
+//                     unfaulted run (same math, different gradient
+//                     accumulation order).
 //   chaos_lab corrupt --dir PATH [flags]  seeded silent-data-corruption
 //                     soak: every scripted incident is a single bit flip
 //                     (activation in flight, gradient in flight, weight or
@@ -31,12 +32,12 @@
 // --schedule 1f1b|gpipe|sliced|interleaved|zero-bubble (--kind is an alias),
 // --interval K (checkpoint every K steps), --grace-ms MS (watchdog floor),
 // --budget N (restart budget). Soak: --incidents N, --straggler-ms MS.
-// Degrade: --at STEP (when the device dies), --oracle "c0,c1" (explicit
-// partition override, the plan-oracle hook), --plan-socket PATH
-// [--timeout-ms MS] (consult a running plan_serve daemon; the daemon plans
-// zoo models, so for this toy model its answer is rejected by shape and the
-// supervisor demonstrably falls back to the local replanner instead of
-// dying or blocking).
+// Degrade: --at STEP (when the device dies; 0 = before any checkpoint),
+// --oracle "c0,c1" (explicit partition override, the plan-oracle hook),
+// --plan-socket PATH [--timeout-ms MS] (consult a running plan_serve daemon;
+// the daemon plans zoo models, so for this toy model its answer is rejected
+// by shape and the supervisor demonstrably falls back to the local
+// replanner instead of dying or blocking).
 //
 // Every verb exits 0 only when its acceptance property held; failures
 // print `error: ...` on stderr and exit 1.
@@ -388,15 +389,13 @@ int do_degrade(const util::Cli& cli, const std::string& dir) {
 
   supervisor::ChaosScript script;
   supervisor::ChaosEvent ev;
-  ev.step = cli.checked_int("at", 3, 1, steps - 1);
+  ev.step = cli.checked_int("at", 3, 0, steps - 1);
   ev.kind = supervisor::ChaosKind::Crash;
   ev.device = cli.checked_int("device", 2, 0, 2);
   ev.op_index = 1;
   script.events.push_back(ev);
 
   supervisor::SupervisorOptions o = base_supervisor(cli, dir, steps);
-  // Checkpoint every step so the crash always has something to restore.
-  o.session.ckpt_interval = cli.checked_int("interval", 1, 1, 1 << 20);
   o.chaos = &script;
   o.mode = supervisor::RecoveryMode::Degrade;
 
@@ -413,7 +412,7 @@ int do_degrade(const util::Cli& cli, const std::string& dir) {
     };
   }
 
-  std::printf("degrade: device %d dies at step %d; restoring onto 2 "
+  std::printf("degrade: device %d dies at step %d; recovering onto 2 "
               "survivors\n", ev.device, ev.step + 1);
   supervisor::Supervisor sup(o);
   const supervisor::SupervisorReport report = sup.run();

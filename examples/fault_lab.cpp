@@ -4,7 +4,6 @@
 //   fault_lab sim       [flags]  crash/straggle the discrete-event executor
 //   fault_lab robust    [flags]  planner re-ranking under straggler noise
 //   fault_lab transient [flags]  in-place retry of a flaky op, grads checked
-//   fault_lab crash     [flags]  device loss -> replan on N-1 -> grads checked
 //   fault_lab kill      [flags]  kill a stage mid-iteration; assert the
 //                                runtime surfaces StageFailure (no hang)
 //   fault_lab ckpt      [flags]  checkpointed training; --kill-at J raises
@@ -12,6 +11,9 @@
 //                                --resume restarts from the newest valid
 //                                checkpoint and verifies the resumed loss
 //                                trajectory matches an uninterrupted run
+//
+// Device loss with re-planning onto the N-1 survivors is supervised
+// recovery: see `chaos_lab degrade` (DESIGN.md §10).
 //
 // Common flags: --model <zoo-name> (sim/robust), --gpus N, --mbs N, --gbs N,
 // --threads N. Fault knobs: --seed N, --trials N, --quantile Q,
@@ -32,7 +34,6 @@
 #include "ckpt/storage.h"
 #include "core/autopipe.h"
 #include "core/planner.h"
-#include "core/replan.h"
 #include "core/resume.h"
 #include "faults/fault_plan.h"
 #include "faults/robustness.h"
@@ -40,7 +41,6 @@
 #include "model/data.h"
 #include "model/transformer.h"
 #include "runtime/pipeline_runtime.h"
-#include "runtime/recovery.h"
 #include "runtime/stage_failure.h"
 #include "sim/executor.h"
 #include "util/cli.h"
@@ -72,7 +72,7 @@ model::TinySpec tiny_spec() {
 }
 
 /// The analytic ModelConfig describing the same block array as tiny_spec(),
-/// i.e. what the planner re-partitions when a device is lost.
+/// i.e. what the planner re-partitions on an elastic `ckpt --resume --gpus`.
 costmodel::ModelConfig tiny_config() {
   const model::TinySpec t = tiny_spec();
   costmodel::ModelSpec spec;
@@ -249,43 +249,6 @@ int do_transient(const util::Cli& cli) {
               "retry(ies)\n",
               fault.device, result.transient_retries);
   return lab.check_grads(result.loss);
-}
-
-int do_crash(const util::Cli& cli) {
-  RuntimeLab lab;
-  faults::FaultPlan plan;
-  faults::DeviceCrash crash;
-  crash.device = cli.checked_int("crash-device", 1, 0, 2);
-  crash.after_ops = cli.checked_int("after-ops", 3, 0, 1 << 20);
-  plan.crashes.push_back(crash);
-
-  runtime::RecoveryOptions rec;
-  rec.run.faults = &plan;
-  rec.plan = {3, 24, 0, false, 1};
-  const auto report = runtime::run_iteration_with_recovery(
-      lab.piped, tiny_config(), {2, 3, 3}, lab.micro, lab.scale, rec);
-
-  for (const auto& a : report.attempts) {
-    if (a.ok) {
-      std::printf("attempt %d on %d device(s): ok\n", a.attempt, a.devices);
-    } else {
-      std::printf("attempt %d on %d device(s): %s on device %d -> %s\n",
-                  a.attempt, a.devices, runtime::to_string(a.kind),
-                  a.failed_device,
-                  a.kind == runtime::FailureKind::Transient ? "retry"
-                                                            : "replan");
-    }
-  }
-  std::string counts;
-  for (int c : report.final_counts) {
-    if (!counts.empty()) counts += " ";
-    counts += std::to_string(c);
-  }
-  std::printf("recovered on %d device(s) (partition [%s]) in %.1f ms, "
-              "%.1f ms of it re-planning\n",
-              report.devices_used, counts.c_str(), report.recovery_ms,
-              report.replan_ms);
-  return lab.check_grads(report.result.loss);
 }
 
 int do_kill(const util::Cli& cli) {
@@ -498,7 +461,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   if (cli.positional().empty()) {
     std::fprintf(stderr,
-                 "usage: %s sim|robust|transient|crash|kill|ckpt "
+                 "usage: %s sim|robust|transient|kill|ckpt "
                  "[--model NAME] [--gpus N] [--trials N] [--seed N] "
                  "[--straggler-prob P] [--crash-device D] [--crash-at MS] "
                  "[--after-ops K] [--dir PATH] [--iters N] [--interval K] "
@@ -511,7 +474,6 @@ int main(int argc, char** argv) {
     if (verb == "sim") return do_sim(cli);
     if (verb == "robust") return do_robust(cli);
     if (verb == "transient") return do_transient(cli);
-    if (verb == "crash") return do_crash(cli);
     if (verb == "kill") return do_kill(cli);
     if (verb == "ckpt") return do_ckpt(cli);
   } catch (const std::exception& e) {
@@ -520,7 +482,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "unknown verb '%s' (expected "
-               "sim|robust|transient|crash|kill|ckpt)\n",
+               "sim|robust|transient|kill|ckpt)\n",
                verb.c_str());
   return 2;
 }

@@ -7,6 +7,20 @@
 
 namespace autopipe::core {
 
+std::vector<int> pipeline_partition(const ModelConfig& config,
+                                    AutoPipeOptions plan, int num_gpus) {
+  plan.num_gpus = num_gpus;
+  plan.forced_stages = num_gpus;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<int> counts = auto_plan(config, plan).plan.partition.counts;
+  AP_LOG(info) << "re-planned onto " << num_gpus << " device(s) in "
+               << std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count()
+               << " ms";
+  return counts;
+}
+
 ResumeResult resume_from_checkpoint(const ModelConfig& config,
                                     ckpt::Storage& storage,
                                     const std::string& dir,
@@ -39,21 +53,11 @@ ResumeResult resume_from_checkpoint(const ModelConfig& config,
     return result;
   }
 
-  // Elastic path: re-plan for the new device count, pipeline-only (forced
-  // depth = cluster size), mirroring the crash-recovery replan policy.
-  AutoPipeOptions plan_opts = options.plan;
-  plan_opts.num_gpus = target;
-  plan_opts.forced_stages = target;
-  const auto t0 = std::chrono::steady_clock::now();
-  const AutoPipeResult planned = auto_plan(config, plan_opts);
-  result.replan_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-  result.counts = planned.plan.partition.counts;
+  // Elastic path: re-plan for the new device count, pipeline-only.
+  result.counts = pipeline_partition(config, options.plan, target);
   result.resharded = true;
   AP_LOG(info) << "elastic resume: step " << result.state.step << " from "
-               << saved_devices << " -> " << target << " device(s) in "
-               << result.replan_ms << " ms";
+               << saved_devices << " -> " << target << " device(s)";
   return result;
 }
 

@@ -9,12 +9,12 @@
 //     the resumed pipeline is shaped exactly like the interrupted one and
 //     the continuation is bit-identical to the uninterrupted run;
 //   different count (N-1 after losing a device, N+1 after adding one) -- the
-//     Planner re-partitions the model for the new count, replan_on_failure
-//     style (pipeline-only: forced depth = device count), and the
-//     checkpointed per-block state is resharded onto the new stages. Since
-//     checkpoints store state per *block* and stages are just contiguous
-//     block ranges, resharding is a pure re-grouping -- no state is
-//     approximated, and the resumed run's gradients stay exact.
+//     Planner re-partitions the model for the new count (pipeline_partition:
+//     forced depth = device count), and the checkpointed per-block state is
+//     resharded onto the new stages. Since checkpoints store state per
+//     *block* and stages are just contiguous block ranges, resharding is a
+//     pure re-grouping -- no state is approximated, and the resumed run's
+//     gradients stay exact.
 #pragma once
 
 #include <string>
@@ -42,11 +42,18 @@ struct ResumeResult {
   /// a freshly planned scheme (resharded).
   std::vector<int> counts;
   bool resharded = false;
-  double replan_ms = 0;        ///< wall-clock spent re-planning (0 if not)
   std::string checkpoint_dir;  ///< winning step directory
   /// Candidates the reader examined, newest first (restore diagnostics).
   std::vector<ckpt::CandidateReport> candidates;
 };
+
+/// Pipeline-only partition of `config` for `num_gpus` devices (forced depth =
+/// device count, so the runtime shape equals the cluster size; the other
+/// planner knobs come from `plan`). The one re-plan call site shared by
+/// elastic resume and the supervisor's Degrade rung when no checkpoint
+/// exists yet. Throws std::runtime_error when no feasible plan fits.
+std::vector<int> pipeline_partition(const ModelConfig& config,
+                                    AutoPipeOptions plan, int num_gpus);
 
 /// Restores from the newest valid checkpoint under `dir`. Throws
 /// ckpt::CkptError (typed: NotFound/Corrupt/Version) when nothing restorable

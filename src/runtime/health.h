@@ -36,7 +36,7 @@ class HealthBoard {
   /// to Idle. Not safe concurrently with beats -- call it between attempts.
   void reset(int devices);
 
-  int devices() const { return devices_; }
+  int devices() const { return devices_.load(std::memory_order_relaxed); }
 
   /// Worker-side: `ops_done` schedule ops complete on `device`, progress
   /// stamp refreshed. Wait-free.
@@ -61,7 +61,9 @@ class HealthBoard {
   std::int64_t now_us() const;
 
   int max_devices_;
-  int devices_ = 0;
+  /// Atomic because the watchdog samples it while the runtime's reset()
+  /// re-arms the board at the start of an attempt.
+  std::atomic<int> devices_{0};
   std::unique_ptr<Slot[]> slots_;
   std::chrono::steady_clock::time_point epoch_;
 };

@@ -1,5 +1,6 @@
 #include "runtime/pipeline_runtime.h"
 
+#include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -78,6 +79,10 @@ IterationResult PipelineRuntime::run_iteration(
   std::vector<double> losses(devices, 0.0);
   std::vector<std::string> errors(devices);
   std::vector<FailureKind> error_kinds(devices, FailureKind::Crash);
+  // The device whose failure came first. Every later failure is an echo of
+  // it (a PeerClosed channel, or a Timeout from the cancelled token) and
+  // must not be reported in its place.
+  std::atomic<int> first_failed{-1};
   std::vector<int> retries(devices, 0);
   // One worker's death poisons every channel so no peer can block past its
   // next wait -- the failure cascades as StageFailure(PeerClosed) instead of
@@ -138,35 +143,30 @@ IterationResult PipelineRuntime::run_iteration(
     ctx.ledger = handoff_guard ? &ledger : nullptr;
     ctx.sdc = options.sdc;
     workers.emplace_back([ctx = std::move(ctx), d, &losses, &errors,
-                          &error_kinds, &poison_all, health = options.health] {
+                          &error_kinds, &first_failed, &poison_all,
+                          health = options.health] {
+      const auto fail = [&](FailureKind kind, const char* what) {
+        error_kinds[d] = kind;
+        errors[d] = what;
+        if (health != nullptr) health->mark(d, DeviceHealth::Failed);
+        int none = -1;
+        first_failed.compare_exchange_strong(none, d);
+        poison_all("device " + std::to_string(d) + ": " + what);
+      };
       try {
         losses[d] = run_stage(ctx);
         if (health != nullptr) health->mark(d, DeviceHealth::Done);
       } catch (const StageFailure& e) {
-        error_kinds[d] = e.kind();
-        errors[d] = e.what();
-        if (health != nullptr) health->mark(d, DeviceHealth::Failed);
-        poison_all("device " + std::to_string(d) + ": " + e.what());
+        fail(e.kind(), e.what());
       } catch (const std::exception& e) {
-        error_kinds[d] = FailureKind::Crash;
-        errors[d] = e.what();
-        if (health != nullptr) health->mark(d, DeviceHealth::Failed);
-        poison_all("device " + std::to_string(d) + ": " + e.what());
+        fail(FailureKind::Crash, e.what());
       }
     });
   }
   for (auto& w : workers) w.join();
-  // Report the *origin* failure, not the PeerClosed echoes it caused in the
-  // other workers: real failure kinds (crash/transient/timeout) outrank
-  // PeerClosed, ties break toward the lower device id.
-  int origin = -1;
-  for (int d = 0; d < devices; ++d) {
-    if (errors[d].empty()) continue;
-    if (origin < 0 || (error_kinds[origin] == FailureKind::PeerClosed &&
-                       error_kinds[d] != FailureKind::PeerClosed)) {
-      origin = d;
-    }
-  }
+  // Report the *origin* failure: the first one, which poisoned the channels
+  // and the token before any of its echoes could be raised.
+  const int origin = first_failed.load();
   if (origin >= 0) {
     throw StageFailure(error_kinds[origin], origin,
                        "device " + std::to_string(origin) +

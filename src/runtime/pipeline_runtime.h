@@ -111,8 +111,8 @@ class PipelineRuntime {
   /// Fault-aware flavour: same contract, plus the RunOptions knobs. A
   /// worker failure closes every channel (so no peer blocks past one
   /// scheduling quantum) and rethrows as StageFailure; gradients
-  /// accumulated before the failure are left in the model -- the recovery
-  /// layer (runtime/recovery.h) snapshots and restores around attempts.
+  /// accumulated before the failure are left in the model --
+  /// TrainSession::step() zeroes them on entry, so a retry never sees them.
   IterationResult run_iteration(const core::Schedule& schedule,
                                 const std::vector<model::Batch>& micro_batches,
                                 double loss_scale, const RunOptions& options);

@@ -421,7 +421,9 @@ SupervisorReport Supervisor::run() {
     // Rung 2/3: restore from the newest durable checkpoint -- same device
     // count in Replace mode (a spare fills the slot; state-exact), one
     // fewer in Degrade mode (exact-state resharding onto a replanned
-    // partition, optionally from the external plan oracle).
+    // partition, optionally from the external plan oracle). Degrade with no
+    // checkpoint yet reshards the live state instead: step() is atomic, so
+    // it is exactly the state the failed step started from.
     const int devices = session_->num_devices();
     const bool degrade = options_.mode == RecoveryMode::Degrade && devices > 1;
     core::ResumeOptions ropts;
@@ -433,8 +435,22 @@ SupervisorReport Supervisor::run() {
     try {
       std::vector<int> override_counts;
       if (degrade) override_counts = degraded_counts(devices - 1);
-      core::ResumeResult resumed = core::resume_from_checkpoint(
-          options_.config, armed_, session_opts_.ckpt_dir, ropts);
+      core::ResumeResult resumed;
+      try {
+        resumed = core::resume_from_checkpoint(
+            options_.config, armed_, session_opts_.ckpt_dir, ropts);
+      } catch (const ckpt::CkptError& e) {
+        if (!degrade || weight_corruption ||
+            e.kind() != ckpt::CkptErrorKind::NotFound) {
+          throw;
+        }
+        resumed.state = session_->capture();
+        if (override_counts.empty()) {
+          resumed.counts = core::pipeline_partition(options_.config,
+                                                    options_.plan, devices - 1);
+        }
+        inc.what += " [no checkpoint yet; resharded the live state]";
+      }
       inc.action = degrade ? Action::Replan : Action::Restore;
       session_opts_.counts =
           !override_counts.empty() ? override_counts : resumed.counts;
@@ -454,8 +470,9 @@ SupervisorReport Supervisor::run() {
         inc.what += " [no verified-clean checkpoint; rebuilt from step 0]";
         build_session(session_opts_, nullptr);
       } else if (e.kind() == ckpt::CkptErrorKind::NotFound) {
-        // Nothing durable yet. Atomic steps make an in-place retry exactly
-        // as safe as a restore would have been.
+        // Nothing durable yet (Replace mode, or a single device left).
+        // Atomic steps make an in-place retry exactly as safe as a restore
+        // would have been.
         inc.action = Action::RetryInPlace;
         inc.what += " [no checkpoint yet; retried in place]";
       } else {

@@ -20,10 +20,12 @@
 //             steps are atomic: failed attempts rewind the data stream and
 //             leave parameters untouched) -> restore from the latest
 //             durable checkpoint and replay -> degraded replan onto N-1
-//             survivors (Degrade mode; optionally consulting an external
-//             plan oracle such as a running plan_serve daemon, with local
-//             replan as fallback). Budget exhausted or an unclassifiable
-//             error -> graceful abort with a typed report. Corruption has
+//             survivors (Degrade mode: the newest checkpoint, or the live
+//             pre-step state when none exists yet, resharded onto a
+//             partition from an external plan oracle such as a running
+//             plan_serve daemon, with local replan as fallback). Budget
+//             exhausted or an unclassifiable error -> graceful abort with
+//             a typed report. Corruption has
 //             its own rung: in-flight flips (activation/gradient) were
 //             consumed by the detected attempt, so an in-place re-execute
 //             is state-exact; corrupted *state* (weight/optimizer flips)
@@ -90,8 +92,8 @@ enum class RecoveryMode { Replace, Degrade };
 struct SupervisorOptions {
   /// Base session configuration. The supervisor overrides `storage` (it
   /// interposes its ArmedStorage) and the `run` health/cancel/fault hooks;
-  /// everything else is honoured. Checkpointing should be enabled for the
-  /// restore rungs to have something to restore.
+  /// everything else is honoured. Before the first checkpoint the restore
+  /// rung retries in place (Replace) or reshards the live state (Degrade).
   runtime::TrainSessionOptions session;
   /// Block-level model description matching session.spec -- what restores
   /// and degraded replans re-partition.

@@ -80,6 +80,10 @@ void Watchdog::watch() {
     // completion is earliest among live devices that still owe ops.
     // Without a table, longest silence past deadline wins.
     const int devices = board_.devices();
+    // The silence that fires the watchdog (the device furthest past its
+    // deadline) is recorded apart from the blame: the guiltiest device can
+    // be quieter than the starved peer whose deadline ran out first.
+    double over = 0.0;
     bool expired = false;
     int blame = -1;
     double blame_score = 0.0;  // see below; lower-is-guiltier per rule
@@ -94,7 +98,12 @@ void Watchdog::watch() {
                                  ? deadline_ms_[d]
                                  : 0.0);
       const double silent = board_.silent_ms(d);
-      if (silent > deadline) expired = true;
+      if (silent > deadline && (!expired || silent - deadline > over)) {
+        expired = true;
+        over = silent - deadline;
+        verdict_.silent_ms = silent;
+        verdict_.deadline_ms = deadline;
+      }
       double score;
       if (d < static_cast<int>(op_ends_ms_.size())) {
         const std::vector<double>& ends = op_ends_ms_[d];
@@ -112,8 +121,6 @@ void Watchdog::watch() {
       if (blame < 0 || score < blame_score) {
         blame = d;
         blame_score = score;
-        verdict_.silent_ms = silent;
-        verdict_.deadline_ms = deadline;
       }
     }
     if (expired && blame >= 0) {
@@ -122,10 +129,10 @@ void Watchdog::watch() {
       verdict_.detection_ms =
           std::chrono::duration<double, std::milli>(clock::now() - armed_at)
               .count();
-      cancel_.cancel("watchdog: device " + std::to_string(blame) +
-                     " silent for " + std::to_string(verdict_.silent_ms) +
-                     " ms (deadline " + std::to_string(verdict_.deadline_ms) +
-                     " ms)");
+      cancel_.cancel("watchdog: blamed device " + std::to_string(blame) +
+                     "; silence " + std::to_string(verdict_.silent_ms) +
+                     " ms past a deadline of " +
+                     std::to_string(verdict_.deadline_ms) + " ms");
       return;
     }
   }

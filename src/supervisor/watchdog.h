@@ -45,8 +45,10 @@ struct WatchdogOptions {
 struct WatchdogVerdict {
   bool fired = false;
   int device = -1;       ///< the blamed device (see the ctor's blame rules)
-  double silent_ms = 0;  ///< its silence when the watchdog fired
-  double deadline_ms = 0;
+  /// The silence that fired the watchdog: that of the device furthest past
+  /// its deadline, which need not be the blamed one.
+  double silent_ms = 0;
+  double deadline_ms = 0;  ///< the deadline that `silent_ms` ran past
   double detection_ms = 0;  ///< arm() -> firing, wall ms
 };
 

@@ -20,7 +20,6 @@
 #include "model/ops.h"
 #include "runtime/optimizer.h"
 #include "runtime/pipeline_runtime.h"
-#include "runtime/recovery.h"
 #include "runtime/train_session.h"
 #include "supervisor/chaos.h"
 #include "supervisor/supervisor.h"
@@ -609,9 +608,10 @@ TEST(ScheduleEvalFuzz, ExecutorAndEvaluatorBitsArePinned) {
 class RecoveryFuzz : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RecoveryFuzz, CrashRecoveryReproducesNoFaultGradients) {
-  // Property: wherever a device crash lands, the recovered iteration's
-  // gradients are bit-identical to a fault-free run on the partition the
-  // replanner chose, and match the single-process reference.
+  // Property: wherever a device crash lands before the first checkpoint, a
+  // Degrade-mode supervisor reshards the live state onto the N-1
+  // survivors, and the run is bit-identical to a fresh fault-free run on
+  // the partition the replanner chose.
   util::Rng rng(GetParam());
   model::TinySpec spec;
   spec.layers = 3;  // 8 blocks
@@ -620,7 +620,6 @@ TEST_P(RecoveryFuzz, CrashRecoveryReproducesNoFaultGradients) {
   spec.vocab = 32;
   spec.seq = 4;
   spec.seed = GetParam();
-  model::TransformerModel ref(spec), piped(spec);
 
   costmodel::ModelSpec ms;
   ms.name = "tiny";
@@ -630,43 +629,46 @@ TEST_P(RecoveryFuzz, CrashRecoveryReproducesNoFaultGradients) {
   ms.vocab = spec.vocab;
   ms.default_seq = spec.seq;
   ms.causal = spec.causal;
-  const auto cfg = costmodel::build_model_config(ms, {4, 0, true});
 
-  const int B = 4, m = 6;
-  model::SyntheticCorpus corpus(spec.vocab, GetParam());
-  const auto batch = corpus.next_batch(B * m, spec.seq);
-  const auto micro =
-      model::SyntheticCorpus::split_micro_batches(batch, spec.seq, B);
-  const double scale = 1.0 / (B * m * spec.seq);
-  ref.zero_grads();
-  const double ref_loss = ref.reference_step(batch.ids, batch.targets, scale);
-
-  faults::FaultPlan plan;
-  faults::DeviceCrash crash;
+  supervisor::ChaosScript script;
+  supervisor::ChaosEvent crash;
+  crash.step = 0;
+  crash.kind = supervisor::ChaosKind::Crash;
   crash.device = static_cast<int>(rng.next_below(3));
-  crash.after_ops = static_cast<int>(rng.next_below(12));  // anywhere in 1F1B
-  plan.crashes.push_back(crash);
+  crash.op_index = static_cast<int>(rng.next_below(12));  // anywhere in 1F1B
+  script.events.push_back(crash);
 
-  runtime::RecoveryOptions rec;
-  rec.run.faults = &plan;
-  rec.backoff_base_ms = 0.01;
-  rec.plan = {3, 24, 0, false, 1};
-  piped.zero_grads();
-  const auto report = runtime::run_iteration_with_recovery(
-      piped, cfg, {2, 3, 3}, micro, scale, rec);
+  constexpr int kSteps = 2;
+  ckpt::MemStorage mem;  // stays empty: ckpt_interval is 0
+  supervisor::SupervisorOptions o;
+  o.session.spec = spec;
+  o.session.counts = {2, 3, 3};
+  o.session.data_seed = GetParam();
+  o.session.ckpt_dir = "fuzz/degrade";
+  o.session.storage = &mem;
+  o.config = costmodel::build_model_config(ms, {4, 0, true});
+  o.target_steps = kSteps;
+  o.mode = supervisor::RecoveryMode::Degrade;
+  o.watchdog.grace_ms = 500;
+  o.chaos = &script;
+  supervisor::Supervisor sup(o);
+  const supervisor::SupervisorReport report = sup.run();
 
-  EXPECT_TRUE(report.recovered);
-  EXPECT_TRUE(report.degraded);
-  EXPECT_NEAR(report.result.loss, ref_loss, 1e-5);
-  EXPECT_LT(ref.max_grad_diff(piped), 1e-4);
+  ASSERT_TRUE(report.completed) << report.abort_reason;
+  ASSERT_EQ(report.incidents.size(), 1u);
+  EXPECT_EQ(report.incidents[0].action, supervisor::Action::Replan);
+  ASSERT_EQ(report.final_counts.size(), 2u);
 
-  model::TransformerModel clean(spec);
-  clean.zero_grads();
-  runtime::PipelineRuntime rt(clean, report.final_counts);
-  const auto schedule =
-      rt.make_schedule(costmodel::ScheduleKind::OneFOneB, m);
-  rt.run_iteration(schedule, micro, scale);
-  EXPECT_DOUBLE_EQ(clean.max_grad_diff(piped), 0.0);
+  runtime::TrainSessionOptions fresh_opts = o.session;
+  fresh_opts.counts = report.final_counts;
+  runtime::TrainSession fresh(fresh_opts);
+  for (int i = 0; i < kSteps; ++i) fresh.step();
+  const ckpt::TrainState want = fresh.capture();
+  const ckpt::TrainState got = sup.session().capture();
+  EXPECT_TRUE(got.blocks == want.blocks);
+  EXPECT_TRUE(got.data_rng == want.data_rng);
+  EXPECT_EQ(got.adam_t, want.adam_t);
+  EXPECT_EQ(report.losses, fresh.losses());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCrashPoints, RecoveryFuzz,

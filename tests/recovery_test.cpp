@@ -1,16 +1,21 @@
 // Recovery suite (ctest label `faults`): StageFailure propagation in the
-// thread runtime, transient retry, degraded re-planning, and the gradient
-// atomicity of run_iteration_with_recovery.
+// thread runtime, in-place transient retry and escalation, the atomicity of
+// a failed TrainSession::step() that the supervisor's recovery ladder
+// (supervisor/supervisor.h) rests on, and that ladder's crash re-plan and
+// escalated-transient retry on a step-0 fault.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <limits>
 
-#include "core/replan.h"
+#include "ckpt/checkpoint.h"
+#include "ckpt/storage.h"
 #include "faults/fault_plan.h"
 #include "model/data.h"
 #include "runtime/pipeline_runtime.h"
-#include "runtime/recovery.h"
 #include "runtime/stage_failure.h"
+#include "runtime/train_session.h"
+#include "supervisor/chaos.h"
+#include "supervisor/supervisor.h"
 
 namespace autopipe::runtime {
 namespace {
@@ -45,19 +50,6 @@ struct Lab {
     s.vocab = 32;
     s.seq = 4;
     return s;
-  }
-
-  static costmodel::ModelConfig config() {
-    const model::TinySpec t = make_spec();
-    costmodel::ModelSpec spec;
-    spec.name = "tiny";
-    spec.num_layers = t.layers;
-    spec.hidden = t.hidden;
-    spec.heads = t.heads;
-    spec.vocab = t.vocab;
-    spec.default_seq = t.seq;
-    spec.causal = t.causal;
-    return costmodel::build_model_config(spec, {4, 0, true});
   }
 
   IterationResult run(const std::vector<int>& counts, const RunOptions& run) {
@@ -130,155 +122,159 @@ TEST(Recovery, TransientBeyondBudgetEscalates) {
   }
 }
 
-// --------------------------------------------------------------- replan
+// ------------------------------------------------------- step atomicity
 
-TEST(Replan, DegradedPlanCoversSurvivors) {
-  const auto cfg = Lab::config();
-  core::AutoPipeOptions original;
-  original.num_gpus = 3;
-  original.global_batch = 24;
-  original.enable_slicer = false;
-  const auto replanned = core::replan_on_failure(cfg, original, 1);
-  EXPECT_EQ(replanned.failed_device, 1);
-  EXPECT_EQ(replanned.surviving_devices, 2);
-  EXPECT_LE(replanned.result.plan.num_stages(), 2);
-  EXPECT_GE(replanned.replan_ms, 0.0);
-  int blocks = 0;
-  for (int c : replanned.result.plan.partition.counts) blocks += c;
-  EXPECT_EQ(blocks, cfg.num_blocks());
+TrainSessionOptions session_options() {
+  TrainSessionOptions opts;
+  opts.spec = Lab::make_spec();
+  opts.counts = {2, 3, 3};
+  return opts;
 }
-
-TEST(Replan, RejectsBadInputs) {
-  const auto cfg = Lab::config();
-  core::AutoPipeOptions one_gpu;
-  one_gpu.num_gpus = 1;
-  EXPECT_THROW(core::replan_on_failure(cfg, one_gpu, 0),
-               std::invalid_argument);
-  core::AutoPipeOptions three;
-  three.num_gpus = 3;
-  EXPECT_THROW(core::replan_on_failure(cfg, three, 3), std::invalid_argument);
-  EXPECT_THROW(core::replan_on_failure(cfg, three, -1),
-               std::invalid_argument);
-}
-
-// ------------------------------------------------------ gradient snapshot
 
 TEST(Recovery, SnapshotRestoreRoundTrips) {
-  Lab lab;
-  lab.piped.zero_grads();
-  lab.piped.reference_step(lab.whole.ids, lab.whole.targets, lab.scale);
-  const auto snapshot = snapshot_grads(lab.piped);
-  lab.piped.zero_grads();
-  EXPECT_GT(lab.ref.max_grad_diff(lab.piped), 0.0);
-  restore_grads(lab.piped, snapshot);
-  EXPECT_DOUBLE_EQ(lab.ref.max_grad_diff(lab.piped), 0.0);
+  // capture() is the snapshot the supervisor restores from (a checkpoint or,
+  // in Degrade mode before the first one, the live state); adopting it
+  // continues the run bit-identically.
+  TrainSession session(session_options()), uninterrupted(session_options());
+  session.step();
+  uninterrupted.step();
+  TrainSession restored(session_options(), session.capture());
+  EXPECT_TRUE(restored.capture() == session.capture());
+  EXPECT_EQ(restored.step(), uninterrupted.step());
+  EXPECT_TRUE(restored.capture() == uninterrupted.capture());
 
-  model::TransformerModel other({});  // 2 layers: different shape
-  EXPECT_THROW(restore_grads(other, snapshot), std::invalid_argument);
-}
-
-// ------------------------------------------------------------- recovery
-
-TEST(Recovery, CrashReplansOntoSurvivorsWithExactGradients) {
-  Lab lab;
-  faults::FaultPlan plan;
-  plan.crashes.push_back({1, std::numeric_limits<double>::infinity(), 3});
-  RecoveryOptions rec;
-  rec.run.faults = &plan;
-  rec.backoff_base_ms = 0.01;
-  rec.plan = {3, 24, 0, false, 1};
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto report = run_iteration_with_recovery(
-      lab.piped, Lab::config(), {2, 3, 3}, lab.micro, lab.scale, rec);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-
-  EXPECT_TRUE(report.recovered);
-  EXPECT_TRUE(report.degraded);
-  EXPECT_EQ(report.devices_used, 2);
-  ASSERT_EQ(report.attempts.size(), 2u);
-  EXPECT_FALSE(report.attempts[0].ok);
-  EXPECT_EQ(report.attempts[0].kind, FailureKind::Crash);
-  EXPECT_EQ(report.attempts[0].failed_device, 1);
-  EXPECT_TRUE(report.attempts[1].ok);
-  EXPECT_EQ(report.attempts[1].devices, 2);
-  EXPECT_GT(report.recovery_ms, 0.0);
-  EXPECT_LE(report.recovery_ms, wall_ms + 1.0);
-  EXPECT_LT(wall_ms, 5000.0) << "recovery took implausibly long";
-
-  // Degraded operation trades throughput, never correctness: the recovered
-  // gradients match the single-process reference...
-  EXPECT_NEAR(report.result.loss, lab.ref_loss, 1e-5);
-  EXPECT_LT(lab.ref.max_grad_diff(lab.piped), 1e-4);
-  // ...and are bit-identical to a fresh fault-free run on the partition the
-  // replanner chose (gradient atomicity: attempt 0's partial sums are gone).
-  Lab fresh;
-  fresh.run(report.final_counts, RunOptions{});
-  EXPECT_DOUBLE_EQ(fresh.piped.max_grad_diff(lab.piped), 0.0);
-}
-
-TEST(Recovery, EscalatedTransientRetriesOnSameDevices) {
-  Lab lab;
-  faults::FaultPlan plan;
-  plan.transients.push_back({1, 2, 9});  // beyond the in-place budget
-  RecoveryOptions rec;
-  rec.run.faults = &plan;
-  rec.backoff_base_ms = 0.01;
-  rec.plan = {3, 24, 0, false, 1};
-  const auto report = run_iteration_with_recovery(
-      lab.piped, Lab::config(), {2, 3, 3}, lab.micro, lab.scale, rec);
-  EXPECT_TRUE(report.recovered);
-  EXPECT_FALSE(report.degraded);  // transient: same cluster, fault consumed
-  EXPECT_EQ(report.devices_used, 3);
-  EXPECT_EQ(report.final_counts, (std::vector<int>{2, 3, 3}));
-  EXPECT_NEAR(report.result.loss, lab.ref_loss, 1e-5);
-  Lab clean;
-  clean.run({2, 3, 3}, RunOptions{});
-  EXPECT_DOUBLE_EQ(clean.piped.max_grad_diff(lab.piped), 0.0);
+  TrainSessionOptions other = session_options();
+  other.spec.layers = 2;  // different shape
+  other.counts = {2, 2};
+  EXPECT_THROW(TrainSession(other, session.capture()), ckpt::CkptError);
 }
 
 TEST(Recovery, ExhaustedAttemptsRethrowWithGradientsRestored) {
-  Lab lab;
-  faults::FaultPlan plan;
-  // Two devices die in sequence; with max_attempts = 2 the second crash
-  // exhausts the budget mid-recovery.
-  plan.crashes.push_back({1, std::numeric_limits<double>::infinity(), 3});
-  plan.crashes.push_back({0, std::numeric_limits<double>::infinity(), 2});
-  RecoveryOptions rec;
-  rec.run.faults = &plan;
-  rec.max_attempts = 2;
-  rec.backoff_base_ms = 0.01;
-  rec.plan = {3, 24, 0, false, 1};
-  EXPECT_THROW(run_iteration_with_recovery(lab.piped, Lab::config(),
-                                           {2, 3, 3}, lab.micro, lab.scale,
-                                           rec),
-               StageFailure);
-  // Atomicity on the failure path: the model's gradients are exactly the
-  // pre-call state (zeroed), with no partial accumulation left behind.
-  model::TransformerModel zeroed(Lab::make_spec());
-  zeroed.zero_grads();
-  EXPECT_DOUBLE_EQ(zeroed.max_grad_diff(lab.piped), 0.0);
+  // The supervisor's in-place retry and its live-state Degrade reshard both
+  // rest on this: a step() that throws changes nothing a checkpoint would
+  // capture, and the partial gradients of the failed attempt cannot leak
+  // into the next one (step() zeroes them on entry).
+  TrainSession session(session_options()), clean(session_options());
+  session.step();  // Adam moments and a mid-sequence data stream exist
+  clean.step();
+  const ckpt::TrainState before = session.capture();
+
+  faults::FaultPlan exhausted, crashed;
+  exhausted.transients.push_back({1, 2, 9});  // beyond the in-place budget
+  crashed.crashes.push_back({1, std::numeric_limits<double>::infinity(), 5});
+  for (faults::FaultPlan* plan : {&exhausted, &crashed}) {
+    session.run_options().faults = plan;
+    try {
+      session.step();
+      FAIL() << "faulted step reported success";
+    } catch (const StageFailure& e) {
+      EXPECT_EQ(e.kind(), plan == &exhausted ? FailureKind::Transient
+                                             : FailureKind::Crash);
+      EXPECT_EQ(e.device(), 1);
+    }
+    const ckpt::TrainState after = session.capture();
+    EXPECT_TRUE(after.blocks == before.blocks);
+    EXPECT_TRUE(after.data_rng == before.data_rng);
+    EXPECT_EQ(after.adam_t, before.adam_t);
+    EXPECT_EQ(after.step, before.step);
+  }
+
+  session.run_options().faults = nullptr;
+  EXPECT_EQ(session.step(), clean.step());
+  EXPECT_DOUBLE_EQ(clean.model().max_grad_diff(session.model()), 0.0);
+  EXPECT_TRUE(session.capture() == clean.capture());
 }
 
-TEST(Recovery, CascadingCrashesDegradeStepByStep) {
-  Lab lab;
-  faults::FaultPlan plan;
-  plan.crashes.push_back({1, std::numeric_limits<double>::infinity(), 3});
-  plan.crashes.push_back({0, std::numeric_limits<double>::infinity(), 2});
-  RecoveryOptions rec;
-  rec.run.faults = &plan;
-  rec.backoff_base_ms = 0.01;
-  rec.plan = {3, 24, 0, false, 1};
-  const auto report = run_iteration_with_recovery(
-      lab.piped, Lab::config(), {2, 3, 3}, lab.micro, lab.scale, rec);
-  // 3 devices -> crash -> 2 devices -> crash (remapped fault) -> 1 device.
-  EXPECT_TRUE(report.recovered);
-  EXPECT_EQ(report.devices_used, 1);
-  EXPECT_EQ(report.attempts.size(), 3u);
-  EXPECT_NEAR(report.result.loss, lab.ref_loss, 1e-5);
-  EXPECT_LT(lab.ref.max_grad_diff(lab.piped), 1e-4);
+// ------------------------------------------------ supervisor-driven recovery
+
+/// One fault on device 1 at step 0, before any checkpoint could exist.
+supervisor::ChaosScript step0_fault(supervisor::ChaosKind kind, int failures) {
+  supervisor::ChaosEvent ev;
+  ev.kind = kind;
+  ev.device = 1;
+  ev.op_index = 3;
+  ev.failures = failures;
+  supervisor::ChaosScript script;
+  script.events.push_back(ev);
+  return script;
+}
+
+/// A one-step Degrade-mode supervisor over the session_options() run.
+supervisor::SupervisorOptions degrade_supervisor(
+    ckpt::Storage* storage, const supervisor::ChaosScript* chaos) {
+  const model::TinySpec t = Lab::make_spec();
+  costmodel::ModelSpec spec;
+  spec.name = "tiny";
+  spec.num_layers = t.layers;
+  spec.hidden = t.hidden;
+  spec.heads = t.heads;
+  spec.vocab = t.vocab;
+  spec.default_seq = t.seq;
+  spec.causal = t.causal;
+
+  supervisor::SupervisorOptions o;
+  o.session = session_options();
+  o.session.ckpt_dir = "recovery/degrade";
+  o.session.storage = storage;
+  o.session.run.backoff_base_ms = 0.01;
+  o.config = costmodel::build_model_config(spec, {4, 0, true});
+  o.target_steps = 1;
+  o.mode = supervisor::RecoveryMode::Degrade;
+  o.watchdog.grace_ms = 500;
+  o.chaos = chaos;
+  return o;
+}
+
+TEST(Recovery, CrashReplansOntoSurvivorsWithExactGradients) {
+  ckpt::MemStorage mem;
+  const supervisor::ChaosScript crash =
+      step0_fault(supervisor::ChaosKind::Crash, 1);
+  supervisor::Supervisor sup(degrade_supervisor(&mem, &crash));
+  const supervisor::SupervisorReport report = sup.run();
+  ASSERT_TRUE(report.completed) << report.abort_reason;
+  ASSERT_EQ(report.incidents.size(), 1u);
+  EXPECT_EQ(report.incidents[0].cls, supervisor::IncidentClass::Crash);
+  EXPECT_EQ(report.incidents[0].action, supervisor::Action::Replan);
+  EXPECT_EQ(report.incidents[0].device, 1);
+  EXPECT_GT(report.incidents[0].downtime_ms, 0.0);
+  EXPECT_LT(report.incidents[0].downtime_ms, 5000.0)
+      << "recovery took implausibly long";
+  ASSERT_EQ(report.final_counts.size(), 2u);
+  EXPECT_EQ(report.final_counts[0] + report.final_counts[1], 8);
+
+  // Degraded operation trades throughput, never correctness: the gradients
+  // are bit-identical to a fresh fault-free run on the partition the
+  // replanner chose (the crashed attempt's partial sums are gone)...
+  TrainSessionOptions fresh_opts = session_options();
+  fresh_opts.counts = report.final_counts;
+  TrainSession fresh(fresh_opts);
+  EXPECT_EQ(report.losses, std::vector<double>{fresh.step()});
+  EXPECT_DOUBLE_EQ(fresh.model().max_grad_diff(sup.session().model()), 0.0);
+  EXPECT_TRUE(sup.session().capture() == fresh.capture());
+  // ...and match the undegraded 3-device run to accumulation-order noise.
+  TrainSession undegraded(session_options());
+  undegraded.step();
+  EXPECT_LT(undegraded.model().max_grad_diff(sup.session().model()), 1e-4);
+}
+
+TEST(Recovery, EscalatedTransientRetriesOnSameDevices) {
+  // A transient that outlives the worker's in-place budget escalates, but
+  // even in Degrade mode it costs no device: the fault is consumed, so the
+  // step is retried on the same partition and stays bit-identical.
+  ckpt::MemStorage mem;
+  const supervisor::ChaosScript transient =
+      step0_fault(supervisor::ChaosKind::Transient, 9);
+  supervisor::Supervisor sup(degrade_supervisor(&mem, &transient));
+  const supervisor::SupervisorReport report = sup.run();
+  ASSERT_TRUE(report.completed) << report.abort_reason;
+  ASSERT_EQ(report.incidents.size(), 1u);
+  EXPECT_EQ(report.incidents[0].cls, supervisor::IncidentClass::Transient);
+  EXPECT_EQ(report.incidents[0].action, supervisor::Action::RetryInPlace);
+  EXPECT_EQ(report.final_counts, (std::vector<int>{2, 3, 3}));
+  TrainSession clean(session_options());
+  EXPECT_EQ(report.losses, std::vector<double>{clean.step()});
+  EXPECT_DOUBLE_EQ(clean.model().max_grad_diff(sup.session().model()), 0.0);
+  EXPECT_TRUE(sup.session().capture() == clean.capture());
 }
 
 }  // namespace

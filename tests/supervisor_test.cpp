@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -103,6 +104,27 @@ void expect_bit_identical(const Supervisor& sup,
   for (std::size_t i = 0; i < report.losses.size(); ++i) {
     EXPECT_EQ(report.losses[i], ref.losses[i]) << "step " << i;
   }
+}
+
+/// Largest |a - b| over two states' parameters; +inf on a shape mismatch.
+/// Degraded runs accumulate gradients in another order, so they are held
+/// to a tolerance rather than to bit identity.
+double max_param_diff(const ckpt::TrainState& a, const ckpt::TrainState& b) {
+  if (a.blocks.size() != b.blocks.size()) return INFINITY;
+  double worst = 0;
+  for (std::size_t i = 0; i < a.blocks.size(); ++i) {
+    if (a.blocks[i].params.size() != b.blocks[i].params.size()) return INFINITY;
+    for (std::size_t p = 0; p < a.blocks[i].params.size(); ++p) {
+      const auto& pa = a.blocks[i].params[p].value;
+      const auto& pb = b.blocks[i].params[p].value;
+      if (pa.size() != pb.size()) return INFINITY;
+      for (std::size_t k = 0; k < pa.size(); ++k) {
+        worst = std::max(worst, std::abs(static_cast<double>(pa[k]) -
+                                         static_cast<double>(pb[k])));
+      }
+    }
+  }
+  return worst;
 }
 
 // ---------------------------------------------------------- health board
@@ -452,6 +474,34 @@ TEST(SupervisorRecovery, DegradeReshardsOntoSurvivorsWithinTolerance) {
     }
   }
   EXPECT_LE(worst, 1e-4);
+}
+
+TEST(SupervisorRecovery, CascadingCrashesDegradeStepByStep) {
+  // 3 devices -> crash before any checkpoint (live-state reshard) -> 2
+  // devices -> crash after the step-2 checkpoint (resharded restore) -> 1.
+  ckpt::MemStorage mem;
+  ChaosScript script;
+  for (const int step : {1, 3}) {
+    ChaosEvent ev;
+    ev.step = step;
+    ev.kind = ChaosKind::Crash;
+    ev.device = 1;
+    ev.op_index = 2;
+    script.events.push_back(ev);
+  }
+  SupervisorOptions o = tiny_supervisor(&mem, "sup/cascade", 5);
+  o.chaos = &script;
+  o.mode = RecoveryMode::Degrade;
+  Supervisor sup(o);
+  const SupervisorReport report = sup.run();
+  ASSERT_TRUE(report.completed) << report.abort_reason;
+  ASSERT_EQ(report.incidents.size(), 2u);
+  EXPECT_EQ(report.incidents[0].action, Action::Replan);
+  EXPECT_EQ(report.incidents[1].action, Action::Replan);
+  EXPECT_EQ(report.final_counts, (std::vector<int>{8}));
+  EXPECT_LE(max_param_diff(sup.session().capture(),
+                           unfaulted_reference(5).state),
+            1e-4);
 }
 
 TEST(SupervisorRecovery, PlanOracleOverridesAndIllFormedAnswersFallBack) {
