@@ -23,19 +23,17 @@ std::unique_ptr<Block::Cache> Block::forward_cached(const Tensor& x,
   return cache;
 }
 
-Tensor Block::backward_cached(const Cache& cache, const Tensor& dy) {
+Tensor Block::backward(const Tensor& x, Tensor dy) {
+  std::unique_ptr<BwState> state;
+  Tensor dx = backward_input(x, std::move(dy), &state);
+  backward_weight(*state);
+  return dx;
+}
+
+Tensor Block::backward_cached(const Cache& cache, Tensor dy) {
   const auto& input = dynamic_cast<const InputCache&>(cache);
-  return backward(input.x, dy);
+  return backward(input.x, std::move(dy));
 }
-
-Tensor Block::backward_input(const Tensor& x, const Tensor& dy,
-                             std::unique_ptr<BwState>* state) {
-  // Fused fallback: accumulate parameter gradients now; nothing deferred.
-  if (state) state->reset();
-  return backward(x, dy);
-}
-
-void Block::backward_weight(const BwState&) {}
 
 std::size_t Block::cache_bytes(const Tensor& x) const {
   return x.numel() * sizeof(float);
@@ -51,6 +49,14 @@ ParamTensor& Block::add_param(std::string name, Tensor value) {
 }
 
 namespace {
+
+/// backward_input's state slot must exist: without it the weight half, and
+/// with it every parameter gradient, would be silently dropped.
+void require_state_slot(const std::unique_ptr<Block::BwState>* state) {
+  if (state == nullptr) {
+    throw std::invalid_argument("backward_input: null state slot");
+  }
+}
 
 /// Copies rows [r0, r1) of a [rows, d] tensor.
 Tensor take_rows(const Tensor& x, int r0, int r1) {
@@ -136,33 +142,21 @@ Tensor EmbeddingBlock::forward(const Tensor& x) const {
   return y;
 }
 
-Tensor EmbeddingBlock::backward(const Tensor& x, const Tensor& dy) {
-  const std::vector<int> ids = decode_ids(x);
-  embedding_backward(ids, dy, &params_[0].grad);
-  for (int i = 0; i < dy.dim(0); ++i) {
-    const int pos = i % seq_len_;
-    for (int j = 0; j < hidden_; ++j) {
-      params_[1].grad.data()[pos * hidden_ + j] += dy.at(i * hidden_ + j);
-    }
-  }
-  // Ids have no gradient; return a zero tensor of the input shape so the
-  // runtime's message plumbing stays uniform.
-  return Tensor(x.shape());
-}
-
 // The embedding's entire backward is weight work (ids carry no gradient),
-// so the input half only stashes state and returns the uniform zero dx.
+// so the input half only stashes state and returns a zero dx of the input
+// shape, which keeps the runtime's message plumbing uniform.
 struct EmbeddingBlock::EmbedBwState : Block::BwState {
   std::vector<int> ids;
   Tensor dy;
 };
 
-Tensor EmbeddingBlock::backward_input(const Tensor& x, const Tensor& dy,
+Tensor EmbeddingBlock::backward_input(const Tensor& x, Tensor dy,
                                       std::unique_ptr<BwState>* state) {
+  require_state_slot(state);
   auto s = std::make_unique<EmbedBwState>();
   s->ids = decode_ids(x);
-  s->dy = dy;
-  if (state) *state = std::move(s);
+  s->dy = std::move(dy);
+  *state = std::move(s);
   return Tensor(x.shape());
 }
 
@@ -242,21 +236,34 @@ Tensor ResidualAttentionBlock::forward(const Tensor& x) const {
   return y;
 }
 
-Tensor ResidualAttentionBlock::backward(const Tensor& x, const Tensor& dy) {
+// Weight-half state: the recomputed activations feeding each parameter
+// gradient (ctx for w_out/b_out, normed for w_qkv/b_qkv, the layer-norm
+// cache for gamma/beta) plus the gradients flowing into them.
+struct ResidualAttentionBlock::AttnBwState : Block::BwState {
+  std::vector<Tensor> ctx;  ///< per sample, [seq, hidden]
+  std::vector<Tensor> dy;   ///< per sample, pairs with ctx
+  Tensor dqkv;
+  Tensor normed;
+  Tensor qg_dx;   ///< d(qkv linear input) == layer-norm output grad
+  LayerNormCache ln;
+};
+
+Tensor ResidualAttentionBlock::backward_input(const Tensor& x, Tensor dy,
+                                              std::unique_ptr<BwState>* state) {
+  require_state_slot(state);
   const int batch = x.dim(0) / seq_len_;
   const int hd = hidden_ / heads_;
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
+  auto s = std::make_unique<AttnBwState>();
 
   // Recompute forward intermediates (activation checkpointing).
-  LayerNormCache ln_cache;
-  const Tensor normed =
-      layernorm(x, params_[0].value, params_[1].value, &ln_cache);
-  const Tensor qkv = linear(normed, params_[2].value, params_[3].value);
+  s->normed = layernorm(x, params_[0].value, params_[1].value, &s->ln);
+  const Tensor qkv = linear(s->normed, params_[2].value, params_[3].value);
 
-  Tensor dqkv({x.dim(0), 3 * hidden_});
+  s->dqkv = Tensor({x.dim(0), 3 * hidden_});
   for (int b = 0; b < batch; ++b) {
     const Tensor qkv_b = take_rows(qkv, b * seq_len_, (b + 1) * seq_len_);
-    const Tensor dy_b = take_rows(dy, b * seq_len_, (b + 1) * seq_len_);
+    Tensor dy_b = take_rows(dy, b * seq_len_, (b + 1) * seq_len_);
 
     // Recompute per-head probs and ctx for this sample.
     Tensor ctx({seq_len_, hidden_});
@@ -279,99 +286,10 @@ Tensor ResidualAttentionBlock::backward(const Tensor& x, const Tensor& dy) {
       add_cols(&ctx, matmul(probs_h[h], v), h * hd);
     }
 
-    // Output projection.
-    LinearGrads og = linear_backward(ctx, params_[4].value, dy_b);
-    params_[4].grad.add_(og.dw);
-    params_[5].grad.add_(og.dbias);
-
-    // Heads.
-    Tensor dqkv_b({seq_len_, 3 * hidden_});
-    for (int h = 0; h < heads_; ++h) {
-      const Tensor q = take_cols(qkv_b, h * hd, (h + 1) * hd);
-      const Tensor k = take_cols(qkv_b, hidden_ + h * hd, hidden_ + (h + 1) * hd);
-      const Tensor v =
-          take_cols(qkv_b, 2 * hidden_ + h * hd, 2 * hidden_ + (h + 1) * hd);
-      const Tensor dctx_h = take_cols(og.dx, h * hd, (h + 1) * hd);
-      const Tensor dprobs = matmul(dctx_h, transpose(v));
-      const Tensor dv = matmul(transpose(probs_h[h]), dctx_h);
-      Tensor dscores = softmax_backward(probs_h[h], dprobs);
-      dscores.scale_(inv_sqrt);
-      const Tensor dq = matmul(dscores, k);
-      const Tensor dk = matmul(transpose(dscores), q);
-      add_cols(&dqkv_b, dq, h * hd);
-      add_cols(&dqkv_b, dk, hidden_ + h * hd);
-      add_cols(&dqkv_b, dv, 2 * hidden_ + h * hd);
-    }
-    put_rows(&dqkv, dqkv_b, b * seq_len_);
-  }
-
-  LinearGrads qg = linear_backward(normed, params_[2].value, dqkv);
-  params_[2].grad.add_(qg.dw);
-  params_[3].grad.add_(qg.dbias);
-
-  LayerNormGrads lg = layernorm_backward(ln_cache, params_[0].value, qg.dx);
-  params_[0].grad.add_(lg.dgamma);
-  params_[1].grad.add_(lg.dbeta);
-  // Residual path: reuse lg.dx's storage instead of copying dy (addition
-  // commutes, so dy + lg.dx and lg.dx + dy are the same bits).
-  Tensor dx = std::move(lg.dx);
-  dx.add_(dy);
-  return dx;
-}
-
-// Weight-half state: the recomputed activations feeding each parameter
-// gradient (ctx for w_out/b_out, normed for w_qkv/b_qkv, the layer-norm
-// cache for gamma/beta) plus the gradients flowing into them.
-struct ResidualAttentionBlock::AttnBwState : Block::BwState {
-  Tensor ctx;     ///< [tokens, hidden], all samples
-  Tensor dy;
-  Tensor dqkv;
-  Tensor normed;
-  Tensor qg_dx;   ///< d(qkv linear input) == layer-norm output grad
-  LayerNormCache ln;
-};
-
-Tensor ResidualAttentionBlock::backward_input(const Tensor& x,
-                                              const Tensor& dy,
-                                              std::unique_ptr<BwState>* state) {
-  const int batch = x.dim(0) / seq_len_;
-  const int hd = hidden_ / heads_;
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
-  auto s = std::make_unique<AttnBwState>();
-
-  // Recompute forward intermediates, exactly as the fused backward does.
-  s->normed = layernorm(x, params_[0].value, params_[1].value, &s->ln);
-  const Tensor qkv = linear(s->normed, params_[2].value, params_[3].value);
-
-  s->ctx = Tensor({x.dim(0), hidden_});
-  s->dqkv = Tensor({x.dim(0), 3 * hidden_});
-  for (int b = 0; b < batch; ++b) {
-    const Tensor qkv_b = take_rows(qkv, b * seq_len_, (b + 1) * seq_len_);
-    const Tensor dy_b = take_rows(dy, b * seq_len_, (b + 1) * seq_len_);
-
-    Tensor ctx({seq_len_, hidden_});
-    std::vector<Tensor> probs_h(heads_);
-    for (int h = 0; h < heads_; ++h) {
-      const Tensor q = take_cols(qkv_b, h * hd, (h + 1) * hd);
-      const Tensor k = take_cols(qkv_b, hidden_ + h * hd, hidden_ + (h + 1) * hd);
-      const Tensor v =
-          take_cols(qkv_b, 2 * hidden_ + h * hd, 2 * hidden_ + (h + 1) * hd);
-      Tensor scores = matmul(q, transpose(k));
-      scores.scale_(inv_sqrt);
-      if (causal_) {
-        for (int i = 0; i < seq_len_; ++i) {
-          for (int j = i + 1; j < seq_len_; ++j) {
-            scores.data()[i * seq_len_ + j] = -1e9f;
-          }
-        }
-      }
-      probs_h[h] = softmax_rows(scores);
-      add_cols(&ctx, matmul(probs_h[h], v), h * hd);
-    }
-
-    // Output projection, input half only; ctx is stashed for the W op.
+    // Output projection, input half only; ctx and dy_b go to the W op.
     const Tensor dctx = linear_backward_input(params_[4].value, dy_b);
-    put_rows(&s->ctx, ctx, b * seq_len_);
+    s->ctx.push_back(std::move(ctx));
+    s->dy.push_back(std::move(dy_b));
 
     Tensor dqkv_b({seq_len_, 3 * hidden_});
     for (int h = 0; h < heads_; ++h) {
@@ -396,20 +314,16 @@ Tensor ResidualAttentionBlock::backward_input(const Tensor& x,
   s->qg_dx = linear_backward_input(params_[2].value, s->dqkv);
   Tensor dx = layernorm_backward_input(s->ln, params_[0].value, s->qg_dx);
   dx.add_(dy);
-  s->dy = dy;
-  if (state) *state = std::move(s);
+  *state = std::move(s);
   return dx;
 }
 
 void ResidualAttentionBlock::backward_weight(const BwState& state) {
   const auto& s = dynamic_cast<const AttnBwState&>(state);
-  const int batch = s.dy.dim(0) / seq_len_;
-  // Accumulation order mirrors the fused backward exactly: per-sample
-  // w_out/b_out in ascending b, then w_qkv/b_qkv, then gamma/beta.
-  for (int b = 0; b < batch; ++b) {
-    const Tensor ctx_b = take_rows(s.ctx, b * seq_len_, (b + 1) * seq_len_);
-    const Tensor dy_b = take_rows(s.dy, b * seq_len_, (b + 1) * seq_len_);
-    const LinearWeightGrads og = linear_backward_weight(ctx_b, dy_b);
+  // Per-sample w_out/b_out in ascending b, then w_qkv/b_qkv, then
+  // gamma/beta.
+  for (std::size_t b = 0; b < s.ctx.size(); ++b) {
+    const LinearWeightGrads og = linear_backward_weight(s.ctx[b], s.dy[b]);
     params_[4].grad.add_(og.dw);
     params_[5].grad.add_(og.dbias);
   }
@@ -447,34 +361,6 @@ Tensor ResidualFFNBlock::forward(const Tensor& x) const {
   return y;
 }
 
-Tensor ResidualFFNBlock::backward(const Tensor& x, const Tensor& dy) {
-  LayerNormCache ln_cache;
-  const Tensor normed =
-      layernorm(x, params_[0].value, params_[1].value, &ln_cache);
-  const Tensor pre = linear(normed, params_[2].value, params_[3].value);
-
-  // fc2's input gradient first, so the recomputed gelu and its gradient
-  // share one tanh per element; the split halves of linear_backward are
-  // its own steps, so the bits are the fused op's.
-  const Tensor g2_dx = linear_backward_input(params_[4].value, dy);
-  const GeluGrads gg = gelu_forward_backward(pre, g2_dx);
-  const LinearWeightGrads g2 = linear_backward_weight(gg.y, dy);
-  params_[4].grad.add_(g2.dw);
-  params_[5].grad.add_(g2.dbias);
-
-  LinearGrads g1 = linear_backward(normed, params_[2].value, gg.dx);
-  params_[2].grad.add_(g1.dw);
-  params_[3].grad.add_(g1.dbias);
-
-  LayerNormGrads lg = layernorm_backward(ln_cache, params_[0].value, g1.dx);
-  params_[0].grad.add_(lg.dgamma);
-  params_[1].grad.add_(lg.dbeta);
-
-  Tensor dx = std::move(lg.dx);
-  dx.add_(dy);
-  return dx;
-}
-
 struct ResidualFFNBlock::FFNBwState : Block::BwState {
   Tensor act;     ///< gelu output, feeds w_fc2/b_fc2
   Tensor dy;
@@ -484,12 +370,15 @@ struct ResidualFFNBlock::FFNBwState : Block::BwState {
   LayerNormCache ln;
 };
 
-Tensor ResidualFFNBlock::backward_input(const Tensor& x, const Tensor& dy,
+Tensor ResidualFFNBlock::backward_input(const Tensor& x, Tensor dy,
                                         std::unique_ptr<BwState>* state) {
+  require_state_slot(state);
   auto s = std::make_unique<FFNBwState>();
   s->normed = layernorm(x, params_[0].value, params_[1].value, &s->ln);
   const Tensor pre = linear(s->normed, params_[2].value, params_[3].value);
 
+  // fc2's input gradient first, so the recomputed gelu and its gradient
+  // share one tanh per element.
   const Tensor g2_dx = linear_backward_input(params_[4].value, dy);
   GeluGrads gg = gelu_forward_backward(pre, g2_dx);
   s->act = std::move(gg.y);
@@ -497,14 +386,14 @@ Tensor ResidualFFNBlock::backward_input(const Tensor& x, const Tensor& dy,
   s->g1_dx = linear_backward_input(params_[2].value, s->dpre);
   Tensor dx = layernorm_backward_input(s->ln, params_[0].value, s->g1_dx);
   dx.add_(dy);
-  s->dy = dy;
-  if (state) *state = std::move(s);
+  s->dy = std::move(dy);
+  *state = std::move(s);
   return dx;
 }
 
 void ResidualFFNBlock::backward_weight(const BwState& state) {
   const auto& s = dynamic_cast<const FFNBwState&>(state);
-  // Fused order: fc2, then fc1, then the layer norm.
+  // fc2, then fc1, then the layer norm.
   const LinearWeightGrads g2 = linear_backward_weight(s.act, s.dy);
   params_[4].grad.add_(g2.dw);
   params_[5].grad.add_(g2.dbias);
@@ -537,8 +426,7 @@ std::unique_ptr<Block::Cache> ResidualFFNBlock::forward_cached(
   return cache;
 }
 
-Tensor ResidualFFNBlock::backward_cached(const Cache& cache,
-                                         const Tensor& dy) {
+Tensor ResidualFFNBlock::backward_cached(const Cache& cache, Tensor dy) {
   const auto& full = dynamic_cast<const FullCache&>(cache);
   LinearGrads g2 = linear_backward(full.act, params_[4].value, dy);
   params_[4].grad.add_(g2.dw);
@@ -585,19 +473,6 @@ Tensor HeadBlock::forward(const Tensor& x) const {
   return matmul(normed, params_[2].value);
 }
 
-Tensor HeadBlock::backward(const Tensor& x, const Tensor& dy) {
-  LayerNormCache ln_cache;
-  const Tensor normed =
-      layernorm(x, params_[0].value, params_[1].value, &ln_cache);
-  params_[2].grad.add_(matmul_grad_b(normed, dy));
-  const Tensor dnormed = matmul_grad_a(dy, params_[2].value);
-  LayerNormGrads lg = layernorm_backward(ln_cache, params_[0].value, dnormed);
-  params_[0].grad.add_(lg.dgamma);
-  params_[1].grad.add_(lg.dbeta);
-  // Struct members get no NRVO; move out explicitly to avoid a deep copy.
-  return std::move(lg.dx);
-}
-
 struct HeadBlock::HeadBwState : Block::BwState {
   Tensor normed;   ///< feeds w_unembed
   Tensor dy;
@@ -605,20 +480,21 @@ struct HeadBlock::HeadBwState : Block::BwState {
   LayerNormCache ln;
 };
 
-Tensor HeadBlock::backward_input(const Tensor& x, const Tensor& dy,
+Tensor HeadBlock::backward_input(const Tensor& x, Tensor dy,
                                  std::unique_ptr<BwState>* state) {
+  require_state_slot(state);
   auto s = std::make_unique<HeadBwState>();
   s->normed = layernorm(x, params_[0].value, params_[1].value, &s->ln);
   s->dnormed = matmul_grad_a(dy, params_[2].value);
   Tensor dx = layernorm_backward_input(s->ln, params_[0].value, s->dnormed);
-  s->dy = dy;
-  if (state) *state = std::move(s);
+  s->dy = std::move(dy);
+  *state = std::move(s);
   return dx;
 }
 
 void HeadBlock::backward_weight(const BwState& state) {
   const auto& s = dynamic_cast<const HeadBwState&>(state);
-  // Fused order: the unembedding first, then gamma/beta.
+  // The unembedding first, then gamma/beta.
   params_[2].grad.add_(matmul_grad_b(s.normed, s.dy));
   const LayerNormWeightGrads lg = layernorm_backward_weight(s.ln, s.dnormed);
   params_[0].grad.add_(lg.dgamma);
@@ -638,7 +514,7 @@ std::unique_ptr<Block::Cache> HeadBlock::forward_cached(const Tensor& x,
   return cache;
 }
 
-Tensor HeadBlock::backward_cached(const Cache& cache, const Tensor& dy) {
+Tensor HeadBlock::backward_cached(const Cache& cache, Tensor dy) {
   const auto& full = dynamic_cast<const FullCache&>(cache);
   // Reconstruct normed from the cached normalization.
   Tensor normed(full.ln.normalized.shape());

@@ -7,6 +7,9 @@
 // and `backward(x, dy)` re-runs the forward internally from the stashed
 // block input x before accumulating parameter gradients. That means a
 // pipeline stage only ever stashes block inputs, matching the memory model.
+// Every backward is the zero-bubble B/W split (2BP): an input half that
+// returns dx and a weight half that accumulates parameter gradients; the
+// plain backward runs the two back to back.
 //
 // Activations are [tokens, hidden] matrices with tokens = batch * seq; the
 // embedding consumes token ids encoded as a [tokens, 1] float tensor so
@@ -53,27 +56,22 @@ class Block {
   /// Pure forward of one (possibly sliced) micro-batch.
   virtual Tensor forward(const Tensor& x) const = 0;
   /// Recompute-style backward: recomputes intermediates from x, accumulates
-  /// parameter gradients, returns dx.
-  virtual Tensor backward(const Tensor& x, const Tensor& dy) = 0;
+  /// parameter gradients, returns dx. Runs backward_input then
+  /// backward_weight, so the B/W split and this are one implementation.
+  Tensor backward(const Tensor& x, Tensor dy);
 
-  /// Grad-input half of the split backward (zero-bubble schedules):
-  /// recomputes intermediates from x, returns dx *without* touching
-  /// parameter gradients, and stashes what the deferred weight half needs
-  /// into *state. The pair
-  ///   backward_input(x, dy, &s); ...; backward_weight(*s);
-  /// must accumulate parameter gradients bit-identically to
-  /// backward(x, dy) -- same additions into the same grad elements in the
-  /// same order (float addition is not associative; the runtime equivalence
-  /// sweeps rely on this). The base default is the fused fallback: it runs
-  /// backward() immediately and leaves *state null (a null state means
-  /// backward_weight has nothing to do), which preserves per-parameter
-  /// accumulation order because a device retires weight gradients in
-  /// micro-batch order either way.
-  virtual Tensor backward_input(const Tensor& x, const Tensor& dy,
-                                std::unique_ptr<BwState>* state);
-  /// Deferred grad-weight half: accumulates parameter gradients from a
-  /// state produced by backward_input.
-  virtual void backward_weight(const BwState& state);
+  /// Grad-input half (the zero-bubble B op): recomputes intermediates from
+  /// x, returns dx *without* touching parameter gradients, and moves what
+  /// the deferred weight half needs -- dy included -- into *state. Throws
+  /// std::invalid_argument when state is null (the weight gradients would
+  /// be lost).
+  virtual Tensor backward_input(const Tensor& x, Tensor dy,
+                                std::unique_ptr<BwState>* state) = 0;
+  /// Grad-weight half (the deferred W op): accumulates parameter gradients
+  /// from a state produced by backward_input. A device retires weight
+  /// halves in micro-batch order, so per-parameter addition order -- and
+  /// hence the bits -- do not depend on how far the W op is deferred.
+  virtual void backward_weight(const BwState& state) = 0;
 
   /// Forward that also returns the state backward_cached needs. The
   /// default keeps just x (checkpointing).
@@ -81,7 +79,7 @@ class Block {
                                                 Tensor* y) const;
   /// Backward from a cache produced by forward_cached. Must compute the
   /// same gradients as backward(x, dy).
-  virtual Tensor backward_cached(const Cache& cache, const Tensor& dy);
+  virtual Tensor backward_cached(const Cache& cache, Tensor dy);
 
   /// Approximate bytes held by a cache from forward_cached (for memory
   /// accounting in tests and reports).
@@ -107,8 +105,7 @@ class EmbeddingBlock final : public Block {
   EmbeddingBlock(int vocab, int hidden, int seq_len, util::Rng& rng);
   const char* kind() const override { return "Embedding"; }
   Tensor forward(const Tensor& x) const override;
-  Tensor backward(const Tensor& x, const Tensor& dy) override;
-  Tensor backward_input(const Tensor& x, const Tensor& dy,
+  Tensor backward_input(const Tensor& x, Tensor dy,
                         std::unique_ptr<BwState>* state) override;
   void backward_weight(const BwState& state) override;
 
@@ -125,8 +122,7 @@ class ResidualAttentionBlock final : public Block {
                          util::Rng& rng);
   const char* kind() const override { return "ResidualAttentionBlock"; }
   Tensor forward(const Tensor& x) const override;
-  Tensor backward(const Tensor& x, const Tensor& dy) override;
-  Tensor backward_input(const Tensor& x, const Tensor& dy,
+  Tensor backward_input(const Tensor& x, Tensor dy,
                         std::unique_ptr<BwState>* state) override;
   void backward_weight(const BwState& state) override;
 
@@ -142,13 +138,12 @@ class ResidualFFNBlock final : public Block {
   ResidualFFNBlock(int hidden, util::Rng& rng);
   const char* kind() const override { return "ResidualFFNBlock"; }
   Tensor forward(const Tensor& x) const override;
-  Tensor backward(const Tensor& x, const Tensor& dy) override;
-  Tensor backward_input(const Tensor& x, const Tensor& dy,
+  Tensor backward_input(const Tensor& x, Tensor dy,
                         std::unique_ptr<BwState>* state) override;
   void backward_weight(const BwState& state) override;
   std::unique_ptr<Cache> forward_cached(const Tensor& x,
                                         Tensor* y) const override;
-  Tensor backward_cached(const Cache& cache, const Tensor& dy) override;
+  Tensor backward_cached(const Cache& cache, Tensor dy) override;
   std::size_t cache_bytes(const Tensor& x) const override;
 
  private:
@@ -164,13 +159,12 @@ class HeadBlock final : public Block {
   HeadBlock(int hidden, int vocab, util::Rng& rng);
   const char* kind() const override { return "FinalNormHead"; }
   Tensor forward(const Tensor& x) const override;
-  Tensor backward(const Tensor& x, const Tensor& dy) override;
-  Tensor backward_input(const Tensor& x, const Tensor& dy,
+  Tensor backward_input(const Tensor& x, Tensor dy,
                         std::unique_ptr<BwState>* state) override;
   void backward_weight(const BwState& state) override;
   std::unique_ptr<Cache> forward_cached(const Tensor& x,
                                         Tensor* y) const override;
-  Tensor backward_cached(const Cache& cache, const Tensor& dy) override;
+  Tensor backward_cached(const Cache& cache, Tensor dy) override;
   std::size_t cache_bytes(const Tensor& x) const override;
 
  private:

@@ -748,21 +748,8 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
 
 LinearGrads linear_backward(const Tensor& x, const Tensor& w,
                             const Tensor& dy) {
-  if (!fast_ops_enabled()) return ref::linear_backward(x, w, dy);
-  LinearGrads g;
-  g.dx = matmul_grad_a(dy, w);
-  g.dw = matmul_grad_b(x, dy);
-  const int rows = dy.dim(0), n = dy.dim(1);
-  g.dbias = Tensor({n});
-  // Column sums stay serial: ascending-i accumulation per column is the
-  // reference order, and n floats of output don't repay a fan-out.
-  float* pdb = g.dbias.data();
-  const float* pdy = dy.data();
-  for (int i = 0; i < rows; ++i) {
-    const float* row = pdy + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) pdb[j] += row[j];
-  }
-  return g;
+  LinearWeightGrads g = linear_backward_weight(x, dy);
+  return {linear_backward_input(w, dy), std::move(g.dw), std::move(g.dbias)};
 }
 
 Tensor linear_backward_input(const Tensor& w, const Tensor& dy) {
@@ -776,7 +763,8 @@ LinearWeightGrads linear_backward_weight(const Tensor& x, const Tensor& dy) {
   g.dw = matmul_grad_b(x, dy);
   const int rows = dy.dim(0), n = dy.dim(1);
   g.dbias = Tensor({n});
-  // Serial ascending-i column sums, exactly as the fused fast path.
+  // Column sums stay serial: ascending-i accumulation per column is the
+  // reference order, and n floats of output don't repay a fan-out.
   float* pdb = g.dbias.data();
   const float* pdy = dy.data();
   for (int i = 0; i < rows; ++i) {
@@ -865,49 +853,9 @@ Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 
 LayerNormGrads layernorm_backward(const LayerNormCache& cache,
                                   const Tensor& gamma, const Tensor& dy) {
-  if (!fast_ops_enabled()) return ref::layernorm_backward(cache, gamma, dy);
-  const int rows = dy.dim(0), d = dy.dim(1);
-  LayerNormGrads g;
-  g.dx = Tensor::uninitialized({rows, d});
-  g.dgamma = Tensor({d});
-  g.dbeta = Tensor({d});
-  const float* pdy = dy.data();
-  const float* pn = cache.normalized.data();
-  const float* pg = gamma.data();
-  float* pdx = g.dx.data();
-  // Pass 1 (parallel): dx rows are independent; the row-local sums run in
-  // the reference's j order.
-  panel_for(rows, 10.0 * rows * d, [&](int i0, int i1) {
-    for (int i = i0; i < i1; ++i) {
-      const float* dyr = pdy + static_cast<std::size_t>(i) * d;
-      const float* nr = pn + static_cast<std::size_t>(i) * d;
-      float sum_dn = 0, sum_dnn = 0;
-      for (int j = 0; j < d; ++j) {
-        const float dnorm = dyr[j] * pg[j];
-        sum_dn += dnorm;
-        sum_dnn += dnorm * nr[j];
-      }
-      const float inv = cache.inv_std[i];
-      float* dxr = pdx + static_cast<std::size_t>(i) * d;
-      for (int j = 0; j < d; ++j) {
-        const float dnorm = dyr[j] * pg[j];
-        dxr[j] = inv * (dnorm - sum_dn / d - nr[j] * sum_dnn / d);
-      }
-    }
-  });
-  // Pass 2 (serial): parameter gradients accumulate over rows in ascending
-  // i -- per column exactly the reference's addition order.
-  float* pdg = g.dgamma.data();
-  float* pdb = g.dbeta.data();
-  for (int i = 0; i < rows; ++i) {
-    const float* dyr = pdy + static_cast<std::size_t>(i) * d;
-    const float* nr = pn + static_cast<std::size_t>(i) * d;
-    for (int j = 0; j < d; ++j) {
-      pdg[j] += dyr[j] * nr[j];
-      pdb[j] += dyr[j];
-    }
-  }
-  return g;
+  LayerNormWeightGrads g = layernorm_backward_weight(cache, dy);
+  return {layernorm_backward_input(cache, gamma, dy), std::move(g.dgamma),
+          std::move(g.dbeta)};
 }
 
 Tensor layernorm_backward_input(const LayerNormCache& cache,
@@ -921,8 +869,8 @@ Tensor layernorm_backward_input(const LayerNormCache& cache,
   const float* pn = cache.normalized.data();
   const float* pg = gamma.data();
   float* pdx = dx.data();
-  // The fused kernel's pass 1, verbatim: dx rows are independent and each
-  // row's sums run in the reference's j order.
+  // Parallel over rows: dx rows are independent, and each row's sums run in
+  // the reference's j order.
   panel_for(rows, 10.0 * rows * d, [&](int i0, int i1) {
     for (int i = i0; i < i1; ++i) {
       const float* dyr = pdy + static_cast<std::size_t>(i) * d;
@@ -951,7 +899,8 @@ LayerNormWeightGrads layernorm_backward_weight(const LayerNormCache& cache,
   LayerNormWeightGrads g;
   g.dgamma = Tensor({d});
   g.dbeta = Tensor({d});
-  // The fused kernel's pass 2, verbatim: serial ascending-i accumulation.
+  // Serial: parameter gradients accumulate over rows in ascending i -- per
+  // column exactly the reference's addition order.
   const float* pdy = dy.data();
   const float* pn = cache.normalized.data();
   float* pdg = g.dgamma.data();

@@ -66,16 +66,15 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias);
 struct LinearGrads {
   Tensor dx, dw, dbias;
 };
+/// Both halves below, back to back.
 LinearGrads linear_backward(const Tensor& x, const Tensor& w,
                             const Tensor& dy);
 
 // Split backward (zero-bubble B/W decomposition): linear_backward's three
 // outputs factor cleanly into an input half (dx, needed immediately to keep
 // the pipeline draining) and a weight half (dw/dbias, deferrable into
-// bubbles). Each half performs exactly the additions the fused form does
-// for its outputs, so
-//   {linear_backward_input, linear_backward_weight} == linear_backward
-// bit for bit -- the op-level golden tests enforce this.
+// bubbles). The fast linear_backward is the two halves; ref:: keeps a
+// one-piece oracle that the op-level golden tests hold both to, bit for bit.
 struct LinearWeightGrads {
   Tensor dw, dbias;
 };
@@ -104,13 +103,13 @@ Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 struct LayerNormGrads {
   Tensor dx, dgamma, dbeta;
 };
+/// Both halves below, back to back.
 LayerNormGrads layernorm_backward(const LayerNormCache& cache,
                                   const Tensor& gamma, const Tensor& dy);
 
 // Split layer-norm backward. dx depends only on (cache, gamma, dy) and the
 // dgamma/dbeta accumulation only on (cache, dy), so the two halves are
-// independent; each runs the fused kernel's loops for its outputs verbatim
-// (bit-identical, golden-tested).
+// independent (bit-identical to ref::layernorm_backward, golden-tested).
 struct LayerNormWeightGrads {
   Tensor dgamma, dbeta;
 };

@@ -46,7 +46,7 @@ double TransformerModel::reference_step(const Tensor& ids,
   const double loss = cross_entropy(x, targets, scale, &dlogits);
   Tensor dy = std::move(dlogits);
   for (int i = num_blocks() - 1; i >= 0; --i) {
-    dy = blocks_[i]->backward(inputs[i], dy);
+    dy = blocks_[i]->backward(inputs[i], std::move(dy));
   }
   return loss;
 }

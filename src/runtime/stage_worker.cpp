@@ -280,14 +280,10 @@ double run_stage(const StageContext& ctx) {
       if (it == bw_stash.end()) {
         throw std::logic_error("grad-weight before grad-input for a micro-batch");
       }
-      // Blocks retire high -> low, mirroring the fused backward's block
-      // order; each block's own accumulation order is backward_weight's
-      // bit-identity contract.
-      auto& states = it->second;
+      // Blocks retire high -> low, as Backward runs them.
+      const auto& states = it->second;
       for (int b = range.first + range.count - 1; b >= range.first; --b) {
-        if (const auto& s = states[b - range.first]) {
-          ctx.model->block(b).backward_weight(*s);
-        }
+        ctx.model->block(b).backward_weight(*states[b - range.first]);
       }
       bw_stash.erase(it);
     } else {
@@ -329,12 +325,13 @@ double run_stage(const StageContext& ctx) {
       for (int b = range.first + range.count - 1; b >= range.first; --b) {
         model::Block& block = ctx.model->block(b);
         if (split) {
-          dy = block.backward_input(entry.inputs[b - range.first], dy,
-                                    &states[b - range.first]);
+          dy = block.backward_input(entry.inputs[b - range.first],
+                                    std::move(dy), &states[b - range.first]);
         } else if (ctx.recompute) {
-          dy = block.backward(entry.inputs[b - range.first], dy);
+          dy = block.backward(entry.inputs[b - range.first], std::move(dy));
         } else {
-          dy = block.backward_cached(*entry.caches[b - range.first], dy);
+          dy = block.backward_cached(*entry.caches[b - range.first],
+                                     std::move(dy));
         }
       }
       if (split) {

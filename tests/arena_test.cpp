@@ -170,15 +170,22 @@ TEST_F(ArenaTrainLoop, SteadyStateIterationsMakeZeroMallocs) {
 
 TEST_F(ArenaTrainLoop, SteadyStateHandoffMakesNoPayloadCopies) {
   // Copy-free micro-batch handoff: channels and the stage stash move
-  // tensors. The only counted copies per iteration are the m micro-batch
-  // id injections at the first stage (tiny, and not activation payloads).
-  const auto opts = tiny_options();
-  runtime::TrainSession session(opts);
-  session.step();
-  const std::uint64_t before = ArenaBuffer::copy_count();
-  session.step();
-  const std::uint64_t per_step = ArenaBuffer::copy_count() - before;
-  EXPECT_LE(per_step, static_cast<std::uint64_t>(opts.num_micro_batches));
+  // tensors, and every block's backward moves dy into its weight-half
+  // state. The only counted copies per iteration are the m micro-batch id
+  // injections at the first stage (tiny, and not activation payloads) --
+  // under fused 1F1B and under zero-bubble's split B/W ops alike.
+  for (const auto kind : {costmodel::ScheduleKind::OneFOneB,
+                          costmodel::ScheduleKind::ZeroBubble}) {
+    SCOPED_TRACE(costmodel::to_string(kind));
+    auto opts = tiny_options();
+    opts.kind = kind;
+    runtime::TrainSession session(opts);
+    session.step();
+    const std::uint64_t before = ArenaBuffer::copy_count();
+    session.step();
+    const std::uint64_t per_step = ArenaBuffer::copy_count() - before;
+    EXPECT_LE(per_step, static_cast<std::uint64_t>(opts.num_micro_batches));
+  }
 }
 
 TEST_F(ArenaTrainLoop, HighWaterStaysWithinMemoryModelPrediction) {

@@ -126,8 +126,7 @@ TEST_P(OpsGoldenThreads, ElementwiseAndRowOpsBitIdentical) {
 TEST_P(OpsGoldenThreads, SplitBackwardPrimitivesBitIdentical) {
   // The zero-bubble B/W split's op-level contract: each split half is
   // bit-identical to its naive reference, and the two halves together
-  // reproduce the fused backward's outputs exactly (the halves are the
-  // fused op's own internal steps, just regrouped).
+  // reproduce the naive one-piece backward's outputs exactly.
   util::Rng rng(17 + GetParam());
   for (const auto& [m, k, n] : gemm_shapes()) {
     SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
@@ -141,11 +140,11 @@ TEST_P(OpsGoldenThreads, SplitBackwardPrimitivesBitIdentical) {
     expect_bits(fast.dw, naive.dw, "linear_backward_weight.dw");
     expect_bits(fast.dbias, naive.dbias, "linear_backward_weight.dbias");
 
-    // Halves == fused, bitwise.
-    const LinearGrads fused = linear_backward(x, w, dy);
-    expect_bits(linear_backward_input(w, dy), fused.dx, "split dx vs fused");
-    expect_bits(fast.dw, fused.dw, "split dw vs fused");
-    expect_bits(fast.dbias, fused.dbias, "split dbias vs fused");
+    // Halves == the one-piece oracle, bitwise.
+    const LinearGrads whole = ref::linear_backward(x, w, dy);
+    expect_bits(linear_backward_input(w, dy), whole.dx, "split dx vs whole");
+    expect_bits(fast.dw, whole.dw, "split dw vs whole");
+    expect_bits(fast.dbias, whole.dbias, "split dbias vs whole");
   }
   for (const auto& [rows, d] : std::vector<std::array<int, 2>>{
            {1, 1}, {3, 19}, {32, 64}, {33, 65}, {257, 3}}) {
@@ -165,11 +164,11 @@ TEST_P(OpsGoldenThreads, SplitBackwardPrimitivesBitIdentical) {
     expect_bits(fast.dgamma, naive.dgamma, "layernorm_backward_weight.dgamma");
     expect_bits(fast.dbeta, naive.dbeta, "layernorm_backward_weight.dbeta");
 
-    const LayerNormGrads fused = layernorm_backward(cache, gamma, dy);
-    expect_bits(layernorm_backward_input(cache, gamma, dy), fused.dx,
-                "split ln dx vs fused");
-    expect_bits(fast.dgamma, fused.dgamma, "split dgamma vs fused");
-    expect_bits(fast.dbeta, fused.dbeta, "split dbeta vs fused");
+    const LayerNormGrads whole = ref::layernorm_backward(cache, gamma, dy);
+    expect_bits(layernorm_backward_input(cache, gamma, dy), whole.dx,
+                "split ln dx vs whole");
+    expect_bits(fast.dgamma, whole.dgamma, "split dgamma vs whole");
+    expect_bits(fast.dbeta, whole.dbeta, "split dbeta vs whole");
   }
 }
 
