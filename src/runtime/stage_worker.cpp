@@ -203,7 +203,7 @@ double run_stage(const StageContext& ctx) {
   struct Stash {
     std::vector<model::Tensor> inputs;                       // recompute
     std::vector<std::unique_ptr<model::Block::Cache>> caches;  // cached
-    model::Tensor head_input;  // the last block's input (loss recompute)
+    model::Tensor head_input;  // the head block's input (loss and backward)
   };
   std::map<std::tuple<int, int, int>, Stash> stash;
   // Zero-bubble split: per (micro_batch, half, chunk) deferred weight-half
@@ -248,17 +248,18 @@ double run_stage(const StageContext& ctx) {
       // Copy-free stash: the block input is *moved* into the stash slot
       // that backward will read it from (or into the block's cache), and
       // the forward runs off that slot -- no activation payload is
-      // duplicated. The last stage's loss recompute reads the head block's
-      // input from inputs.back() under recompute, else from the dedicated
-      // head_input slot, which the head's backward then also runs off.
+      // duplicated. The head block only stashes its input: the Backward
+      // op computes the logits from it for the loss (from inputs.back()
+      // under recompute, else from the dedicated head_input slot), so a
+      // forward here would be thrown away -- and keeping the logits alive
+      // through the 1F1B phase would dominate memory.
       for (int b = range.first; b < range.first + range.count; ++b) {
         const bool head = last && b == range.first + range.count - 1;
         if (ctx.recompute) {
           entry.inputs.push_back(std::move(x));
-          x = ctx.model->block(b).forward(entry.inputs.back());
+          if (!head) x = ctx.model->block(b).forward(entry.inputs.back());
         } else if (head) {
           entry.head_input = std::move(x);
-          x = ctx.model->block(b).forward(entry.head_input);
         } else {
           model::Tensor y;
           entry.caches.push_back(
@@ -270,9 +271,6 @@ double run_stage(const StageContext& ctx) {
         stamp_outgoing(ctx, /*backward=*/false, global, op, x);
         (*ctx.forward_channels)[global].send(tag, std::move(x));
       }
-      // The last stage discards logits here and recomputes them in the
-      // backward op -- even without checkpointing, keeping the huge logits
-      // tensor alive through the 1F1B phase would dominate memory.
     } else if (op.type == core::OpType::BackwardWeight) {
       const auto it = bw_stash.find({op.micro_batch, op.half, op.chunk});
       if (it == bw_stash.end()) {
@@ -292,7 +290,7 @@ double run_stage(const StageContext& ctx) {
       Stash& entry = it->second;
       model::Tensor dy;
       if (last) {
-        // Recompute the logits from the head block's stashed input, then
+        // Compute the logits from the head block's stashed input, then
         // seed the backward pass with the cross-entropy gradient. Targets
         // are a span into the shared micro-batch -- no Batch copy.
         const model::Batch& whole = (*ctx.micro_batches)[op.micro_batch];
