@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 
@@ -28,6 +29,14 @@
 #define AUTOPIPE_UNROLL _Pragma("GCC unroll 16")
 #else
 #define AUTOPIPE_UNROLL
+#endif
+
+// The GELU lane bodies are templates without a target attribute; they must
+// inline into their target("avx") caller to run as AVX code there.
+#if defined(__GNUC__) || defined(__clang__)
+#define AUTOPIPE_INLINE __attribute__((always_inline)) inline
+#else
+#define AUTOPIPE_INLINE inline
 #endif
 
 namespace autopipe::model {
@@ -92,30 +101,106 @@ void panel_for(int rows, double flops,
   });
 }
 
+// ------------------------------------------------------------------ GELU
+//
+// GELU's tanh is a fixed rational function: the odd degree-13 over even
+// degree-6 minimax form (Eigen's float tanh) of the input clamped to
+// +-kTanhClamp, where it reaches +-1. It is built from IEEE + - * / and
+// compare-selects alone, and one templated body evaluates it with GELU's
+// expressions around it on a lane group of W::kLanes independent
+// elements: a float for ref:: and the vector tails, four floats on SSE2,
+// eight on AVX. Each lane op rounds exactly as the scalar op does (never
+// FMA: the library builds with -ffp-contract=off), so every width gives
+// every element ref::'s bits -- on any libm.
+//
+// Lane groups pass by reference: a 256-bit vector passed by value through
+// a function not compiled for AVX changes the ABI, and the bodies only
+// ever run inlined into their target("avx") caller.
+
+/// Lane-group widths: V holds kLanes independent elements.
+struct Lanes1 {
+  using V = float;
+  static constexpr int kLanes = 1;
+};
+#if defined(AUTOPIPE_X86)
+struct Lanes4 {  // SSE2
+  using V = float __attribute__((vector_size(16)));
+  static constexpr int kLanes = 4;
+};
+struct Lanes8 {  // AVX
+  using V = float __attribute__((vector_size(32)));
+  static constexpr int kLanes = 8;
+};
+#endif
+
+constexpr float kTanhClamp = 7.90531110763549805f;
+
+/// x <- tanh(x) in every lane. NaN fails both clamp compares and stays NaN.
+template <class V>
+AUTOPIPE_INLINE void rational_tanh_lanes(V& x) {
+  // Operand order as maxps(-c, x), then minps(c, x).
+  x = x < -kTanhClamp ? -kTanhClamp : x;
+  x = x > kTanhClamp ? kTanhClamp : x;
+  const V x2 = x * x;
+  V p = x2 * -2.76076847742355e-16f + 2.00018790482477e-13f;
+  p = x2 * p + -8.60467152213735e-11f;
+  p = x2 * p + 5.12229709037114e-08f;
+  p = x2 * p + 1.48572235717979e-05f;
+  p = x2 * p + 6.37261928875436e-04f;
+  p = x2 * p + 4.89352455891786e-03f;
+  p = x * p;
+  V q = x2 * 1.19825839466702e-06f + 1.18534705686654e-04f;
+  q = x2 * q + 2.26843463243900e-03f;
+  q = x2 * q + 4.89352518554385e-03f;
+  x = p / q;
+}
+
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
 
-// GELU and its derivative share t = tanh(u); splitting them at t lets
-// gelu_forward_backward pay for one tanh while running exactly the
-// expressions gelu and gelu_backward run.
-float gelu_tanh(float v) {
-  return std::tanh(kGeluC * (v + 0.044715f * v * v * v));
+/// GELU on the W::kLanes elements at offset i of io: y = gelu(x) when kY,
+/// dx = dy * gelu'(x) when kDx. Both come from one tanh of
+/// u = c * (x + a x^3), so gelu_forward_backward runs exactly the
+/// expressions gelu and gelu_backward run.
+template <class W, bool kY, bool kDx>
+AUTOPIPE_INLINE void gelu_lanes(const detail::GeluIo& io, std::size_t i) {
+  using V = typename W::V;
+  V v;
+  std::memcpy(&v, io.x + i, sizeof v);
+  V t = kGeluC * (v + kGeluA * v * v * v);
+  rational_tanh_lanes(t);
+  if constexpr (kY) {
+    const V y = 0.5f * v * (1.0f + t);
+    std::memcpy(io.y + i, &y, sizeof y);
+  }
+  if constexpr (kDx) {
+    V dy;
+    std::memcpy(&dy, io.dy + i, sizeof dy);
+    const V du = kGeluC * (1.0f + 3.0f * kGeluA * v * v);
+    const V dx = dy * (0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du);
+    std::memcpy(io.dx + i, &dx, sizeof dx);
+  }
 }
 
-float gelu_from_tanh(float v, float t) { return 0.5f * v * (1.0f + t); }
-
-float gelu_grad_from_tanh(float v, float t) {
-  const float du = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-  return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+/// Elements [i0, i1) of io: whole W lane groups, then a scalar tail.
+template <class W, bool kY, bool kDx>
+AUTOPIPE_INLINE void gelu_run(const detail::GeluIo& io, std::size_t i0,
+                              std::size_t i1) {
+  std::size_t i = i0;
+  for (; i + W::kLanes <= i1; i += W::kLanes) gelu_lanes<W, kY, kDx>(io, i);
+  for (; i < i1; ++i) gelu_lanes<Lanes1, kY, kDx>(io, i);
 }
 
-float gelu_one(float v) { return gelu_from_tanh(v, gelu_tanh(v)); }
-
-float gelu_grad_one(float v) { return gelu_grad_from_tanh(v, gelu_tanh(v)); }
-
-void gelu_forward_backward_one(float v, float dy, float* y, float* dx) {
-  const float t = gelu_tanh(v);
-  *y = gelu_from_tanh(v, t);
-  *dx = dy * gelu_grad_from_tanh(v, t);
+template <class W>
+AUTOPIPE_INLINE void gelu_span(const detail::GeluIo& io, std::size_t i0,
+                               std::size_t i1) {
+  if (io.y != nullptr && io.dx != nullptr) {
+    gelu_run<W, true, true>(io, i0, i1);
+  } else if (io.y != nullptr) {
+    gelu_run<W, true, false>(io, i0, i1);
+  } else {
+    gelu_run<W, false, true>(io, i0, i1);
+  }
 }
 
 void layernorm_row(const float* row, const float* gamma, const float* beta,
@@ -315,15 +400,19 @@ LinearWeightGrads linear_backward_weight(const Tensor& x, const Tensor& dy) {
 
 Tensor gelu(const Tensor& x) {
   Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.numel(); ++i) y.data()[i] = gelu_one(x.at(i));
+  const detail::GeluIo io{x.data(), nullptr, y.data(), nullptr};
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    gelu_lanes<Lanes1, true, false>(io, i);
+  }
   return y;
 }
 
 Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
   require(x.same_shape(dy), "gelu_backward: shape mismatch");
   Tensor dx(x.shape());
+  const detail::GeluIo io{x.data(), dy.data(), nullptr, dx.data()};
   for (std::size_t i = 0; i < x.numel(); ++i) {
-    dx.data()[i] = dy.at(i) * gelu_grad_one(x.at(i));
+    gelu_lanes<Lanes1, false, true>(io, i);
   }
   return dx;
 }
@@ -331,8 +420,9 @@ Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
 GeluGrads gelu_forward_backward(const Tensor& x, const Tensor& dy) {
   require(x.same_shape(dy), "gelu_forward_backward: shape mismatch");
   GeluGrads g{Tensor(x.shape()), Tensor(x.shape())};
+  const detail::GeluIo io{x.data(), dy.data(), g.y.data(), g.dx.data()};
   for (std::size_t i = 0; i < x.numel(); ++i) {
-    gelu_forward_backward_one(x.at(i), dy.at(i), &g.y.at(i), &g.dx.at(i));
+    gelu_lanes<Lanes1, true, true>(io, i);
   }
   return g;
 }
@@ -663,6 +753,30 @@ void gemm_tile_avx(StridedA a, const float* b, int k, int n, float* c,
 bool cpu_has_avx() { return false; }
 #endif
 
+float rational_tanh(float x) {
+  rational_tanh_lanes(x);
+  return x;
+}
+
+#if defined(AUTOPIPE_X86)
+void gelu_span_sse2(const GeluIo& io, std::size_t i0, std::size_t i1) {
+  gelu_span<Lanes4>(io, i0, i1);
+}
+
+AUTOPIPE_AVX void gelu_span_avx(const GeluIo& io, std::size_t i0,
+                                std::size_t i1) {
+  gelu_span<Lanes8>(io, i0, i1);
+}
+#else
+void gelu_span_sse2(const GeluIo& io, std::size_t i0, std::size_t i1) {
+  gelu_span<Lanes1>(io, i0, i1);
+}
+
+void gelu_span_avx(const GeluIo& io, std::size_t i0, std::size_t i1) {
+  gelu_span_sse2(io, i0, i1);
+}
+#endif
+
 Tensor matmul(GemmTile tile, const Tensor& a, const Tensor& b) {
   check_matmul(a, b);
   const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
@@ -694,6 +808,44 @@ Tensor matmul_grad_b(GemmTile tile, const Tensor& a, const Tensor& dc) {
   return db;
 }
 
+namespace {
+
+/// Runs span over all n elements of io in fixed 256-element chunks, fanned
+/// out over the shared pool like the row kernels.
+void run_gelu(GeluSpan span, const GeluIo& io, std::size_t n) {
+  constexpr std::size_t kChunk = 256;
+  const int chunks = static_cast<int>((n + kChunk - 1) / kChunk);
+  // About 30 flops per element: the rational tanh's 11 multiply-adds and
+  // its divide, plus GELU's arithmetic around it.
+  panel_for(chunks, 32.0 * static_cast<double>(n), [&](int c0, int c1) {
+    span(io, c0 * kChunk, std::min(n, c1 * kChunk));
+  });
+}
+
+}  // namespace
+
+Tensor gelu(GeluSpan span, const Tensor& x) {
+  Tensor y = Tensor::uninitialized(x.shape());
+  run_gelu(span, {x.data(), nullptr, y.data(), nullptr}, x.numel());
+  return y;
+}
+
+Tensor gelu_backward(GeluSpan span, const Tensor& x, const Tensor& dy) {
+  require(x.same_shape(dy), "gelu_backward: shape mismatch");
+  Tensor dx = Tensor::uninitialized(x.shape());
+  run_gelu(span, {x.data(), dy.data(), nullptr, dx.data()}, x.numel());
+  return dx;
+}
+
+GeluGrads gelu_forward_backward(GeluSpan span, const Tensor& x,
+                                const Tensor& dy) {
+  require(x.same_shape(dy), "gelu_forward_backward: shape mismatch");
+  GeluGrads g{Tensor::uninitialized(x.shape()),
+              Tensor::uninitialized(x.shape())};
+  run_gelu(span, {x.data(), dy.data(), g.y.data(), g.dx.data()}, x.numel());
+  return g;
+}
+
 }  // namespace detail
 
 namespace {
@@ -703,6 +855,13 @@ detail::GemmTile active_tile() {
                                            ? detail::gemm_tile_avx
                                            : detail::gemm_tile_sse2;
   return tile;
+}
+
+detail::GeluSpan active_gelu() {
+  static const detail::GeluSpan span = detail::cpu_has_avx()
+                                           ? detail::gelu_span_avx
+                                           : detail::gelu_span_sse2;
+  return span;
 }
 
 }  // namespace
@@ -776,51 +935,17 @@ LinearWeightGrads linear_backward_weight(const Tensor& x, const Tensor& dy) {
 
 Tensor gelu(const Tensor& x) {
   if (!fast_ops_enabled()) return ref::gelu(x);
-  Tensor y = Tensor::uninitialized(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  const int total = static_cast<int>(x.numel());
-  // Elementwise: chunk the flat index range. tanh is expensive enough that
-  // the flop estimate undercounts, so weigh it up.
-  panel_for((total + 255) / 256, 32.0 * total, [&](int c0, int c1) {
-    const int e0 = c0 * 256, e1 = std::min(total, c1 * 256);
-    for (int i = e0; i < e1; ++i) py[i] = gelu_one(px[i]);
-  });
-  return y;
+  return detail::gelu(active_gelu(), x);
 }
 
 Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
   if (!fast_ops_enabled()) return ref::gelu_backward(x, dy);
-  require(x.same_shape(dy), "gelu_backward: shape mismatch");
-  Tensor dx = Tensor::uninitialized(x.shape());
-  const float* px = x.data();
-  const float* pdy = dy.data();
-  float* pdx = dx.data();
-  const int total = static_cast<int>(x.numel());
-  panel_for((total + 255) / 256, 32.0 * total, [&](int c0, int c1) {
-    const int e0 = c0 * 256, e1 = std::min(total, c1 * 256);
-    for (int i = e0; i < e1; ++i) pdx[i] = pdy[i] * gelu_grad_one(px[i]);
-  });
-  return dx;
+  return detail::gelu_backward(active_gelu(), x, dy);
 }
 
 GeluGrads gelu_forward_backward(const Tensor& x, const Tensor& dy) {
   if (!fast_ops_enabled()) return ref::gelu_forward_backward(x, dy);
-  require(x.same_shape(dy), "gelu_forward_backward: shape mismatch");
-  GeluGrads g{Tensor::uninitialized(x.shape()),
-              Tensor::uninitialized(x.shape())};
-  const float* px = x.data();
-  const float* pdy = dy.data();
-  float* py = g.y.data();
-  float* pdx = g.dx.data();
-  const int total = static_cast<int>(x.numel());
-  panel_for((total + 255) / 256, 32.0 * total, [&](int c0, int c1) {
-    const int e0 = c0 * 256, e1 = std::min(total, c1 * 256);
-    for (int i = e0; i < e1; ++i) {
-      gelu_forward_backward_one(px[i], pdy[i], py + i, pdx + i);
-    }
-  });
-  return g;
+  return detail::gelu_forward_backward(active_gelu(), x, dy);
 }
 
 Tensor layernorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,

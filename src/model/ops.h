@@ -12,16 +12,19 @@
 //    semantic ground truth of the op-level golden tests.
 //  - the default fast path -- one register-tiled GEMM kernel behind all
 //    three matmuls (an AVX 4x16 tile when the CPU has AVX, else an SSE2 4x8
-//    tile, picked once per process; see kernel_isa()) plus row and
-//    elementwise kernels, fanned out over fixed row panels on a shared
-//    thread pool. Vector lanes run across independent output elements,
-//    never along a reduction: each output keeps one accumulator, adds in
-//    the reference's ascending order and rounds the multiply before the
-//    add (FMA is the one forbidden instruction; the library builds with
-//    -ffp-contract=off so the compiler cannot fuse either side). Results
-//    are therefore bit-identical to ref:: for either tile and at every
-//    thread count. tests/ops_golden_test.cpp enforces this for every
-//    primitive, including ragged panel- and tile-edge shapes.
+//    tile, picked once per process; see kernel_isa()), a GELU family run
+//    one element per lane at the same width, and row and elementwise
+//    kernels, fanned out over fixed row panels on a shared thread pool.
+//    Vector lanes run across independent output elements, never along a
+//    reduction: each output keeps one accumulator, adds in the
+//    reference's ascending order and rounds the multiply before the add
+//    (FMA is the one forbidden instruction; the library builds with
+//    -ffp-contract=off so the compiler cannot fuse either side). GELU's
+//    tanh is one fixed rational function that ref:: evaluates too, so no
+//    libm call sits between the two. Results are therefore bit-identical
+//    to ref:: at every width and thread count. tests/ops_golden_test.cpp
+//    enforces this for every primitive, including ragged panel-, tile-
+//    and lane-edge shapes.
 //
 // set_fast_ops(false) routes the public entry points through ref::, which
 // is how the naive-vs-fast end-to-end equivalence sweeps and the hot-path
@@ -83,7 +86,8 @@ Tensor linear_backward_input(const Tensor& w, const Tensor& dy);
 /// dw = x^T * dy, dbias = column sums of dy (ascending-row order).
 LinearWeightGrads linear_backward_weight(const Tensor& x, const Tensor& dy);
 
-/// GELU, tanh approximation (as GPT-2 uses).
+/// GELU, tanh approximation (as GPT-2 uses), with tanh itself a rational
+/// function within 5e-7 of libm's (see detail::rational_tanh).
 Tensor gelu(const Tensor& x);
 Tensor gelu_backward(const Tensor& x, const Tensor& dy);
 /// {gelu(x), gelu_backward(x, dy)} from one tanh per element -- the same

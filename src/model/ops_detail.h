@@ -1,11 +1,13 @@
-// Internal GEMM building blocks behind model::matmul / matmul_grad_a /
-// matmul_grad_b. Not part of the public API: the tests include this header
-// to drive each register tile directly, so the SSE2 fallback stays covered
-// on hosts where the process-wide dispatch always picks AVX.
+// Internal building blocks behind the fast GEMMs (model::matmul /
+// matmul_grad_a / matmul_grad_b) and the GELU family. Not part of the
+// public API: the tests include this header to drive each register tile
+// and each GELU width directly, so the SSE2 fallbacks stay covered on
+// hosts where the process-wide dispatch always picks AVX.
 #pragma once
 
 #include <cstddef>
 
+#include "model/ops.h"
 #include "model/tensor.h"
 
 namespace autopipe::model::detail {
@@ -43,5 +45,39 @@ bool cpu_has_avx();
 Tensor matmul(GemmTile tile, const Tensor& a, const Tensor& b);
 Tensor matmul_grad_a(GemmTile tile, const Tensor& dc, const Tensor& b);
 Tensor matmul_grad_b(GemmTile tile, const Tensor& a, const Tensor& dc);
+
+/// tanh(x) as a fixed rational function of x clamped to +-7.9053111 (odd
+/// degree 13 over even degree 6), from IEEE + - * / alone, so its bits do
+/// not depend on the libm. Within 5e-7 of tanh, |result| <= 1, odd bit
+/// for bit, NaN in gives NaN out. Both ref::gelu* and every GELU width
+/// evaluate it.
+float rational_tanh(float x);
+
+/// One GELU call's operands: y = gelu(x) is written when y is non-null,
+/// dx = dy * gelu'(x) when dx is non-null (dy is read only then).
+struct GeluIo {
+  const float* x;
+  const float* dy;
+  float* y;
+  float* dx;
+};
+
+/// GELU over elements [i0, i1) of io, one element per vector lane plus a
+/// scalar tail. Every lane runs ref::'s scalar expressions, rounding as
+/// they round, so each width gives ref::'s bits.
+using GeluSpan = void (*)(const GeluIo& io, std::size_t i0, std::size_t i1);
+
+/// 4 lanes of 128-bit SSE2 (scalar off x86).
+void gelu_span_sse2(const GeluIo& io, std::size_t i0, std::size_t i1);
+/// 8 lanes of 256-bit AVX. Requires cpu_has_avx().
+void gelu_span_avx(const GeluIo& io, std::size_t i0, std::size_t i1);
+
+/// The GELU family on an explicit width, chunk-parallel over the shared
+/// ops pool. The public entry points call these with the width picked
+/// once per process, by the check that picks the GEMM tile.
+Tensor gelu(GeluSpan span, const Tensor& x);
+Tensor gelu_backward(GeluSpan span, const Tensor& x, const Tensor& dy);
+GeluGrads gelu_forward_backward(GeluSpan span, const Tensor& x,
+                                const Tensor& dy);
 
 }  // namespace autopipe::model::detail

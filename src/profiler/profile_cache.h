@@ -5,7 +5,7 @@
 // lines ahead of the body:
 //
 //   # autopipe-model-config v1
-//   # autopipe-profile-cache v2
+//   # autopipe-profile-cache v3
 //   # profile-key <fnv1a-64 hex of the canonical key string>
 //   # profile-host <fingerprint>
 //   # profile-created <unix seconds>
@@ -32,7 +32,10 @@ namespace autopipe::profiler {
 /// Bumped whenever the measurement methodology or the entry format changes
 /// incompatibly; older entries then re-measure instead of silently feeding
 /// stale numbers. v2: entries carry a body CRC32 and are written atomically.
-inline constexpr int kProfileCacheVersion = 2;
+/// v3: GELU's tanh became a vectorized rational function, which about
+/// halves the measured FFN block times; v2 entries price FFN at the old
+/// libm-tanh cost.
+inline constexpr int kProfileCacheVersion = 3;
 
 struct CacheKey {
   costmodel::ModelSpec spec;

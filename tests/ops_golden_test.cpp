@@ -7,8 +7,13 @@
 // checkpoint resume and the consistency property all stay exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -16,6 +21,7 @@
 #include "model/ops.h"
 #include "model/ops_detail.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace autopipe::model {
 namespace {
@@ -269,6 +275,190 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name) + "_threads" +
              std::to_string(info.param.threads);
     });
+
+// Each GELU width, called directly rather than through the process-wide
+// dispatch, so the SSE2 body stays pinned on hosts that pick AVX. Lengths
+// straddle both lane counts (4, 8) and the 256-element chunk; 32768 is the
+// train benchmark's FFN activation and fans out over the pool.
+struct GeluWidthCase {
+  const char* name;
+  detail::GeluSpan span;
+  int threads;
+};
+
+void PrintTo(const GeluWidthCase& c, std::ostream* os) {
+  *os << c.name << " threads " << c.threads;
+}
+
+class OpsGoldenGeluWidth : public testing::TestWithParam<GeluWidthCase> {
+ protected:
+  void SetUp() override {
+    if (GetParam().span == detail::gelu_span_avx && !detail::cpu_has_avx()) {
+      GTEST_SKIP() << "CPU lacks AVX";
+    }
+    set_ops_threads(GetParam().threads);
+  }
+  void TearDown() override { set_ops_threads(1); }
+};
+
+TEST_P(OpsGoldenGeluWidth, GeluFamilyBitIdenticalToReference) {
+  const detail::GeluSpan span = GetParam().span;
+  util::Rng rng(29 + GetParam().threads);
+  for (const int n : {1, 3, 4, 7, 8, 9, 15, 17, 255, 257, 32768}) {
+    SCOPED_TRACE(testing::Message() << "length " << n);
+    // Scale 4 reaches past the clamp (|u| > 7.9 from |x| > 3.4).
+    const Tensor x = Tensor::randn({n}, rng, 4.0f);
+    const Tensor dy = randn({n}, rng);
+    const Tensor want_y = ref::gelu(x);
+    const Tensor want_dx = ref::gelu_backward(x, dy);
+    expect_bits(detail::gelu(span, x), want_y, "gelu");
+    expect_bits(detail::gelu_backward(span, x, dy), want_dx, "gelu_backward");
+    const GeluGrads both = detail::gelu_forward_backward(span, x, dy);
+    expect_bits(both.y, want_y, "gelu_forward_backward.y");
+    expect_bits(both.dx, want_dx, "gelu_forward_backward.dx");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, OpsGoldenGeluWidth,
+    testing::Values(GeluWidthCase{"sse2", detail::gelu_span_sse2, 1},
+                    GeluWidthCase{"sse2", detail::gelu_span_sse2, 2},
+                    GeluWidthCase{"sse2", detail::gelu_span_sse2, 0},
+                    GeluWidthCase{"avx", detail::gelu_span_avx, 1},
+                    GeluWidthCase{"avx", detail::gelu_span_avx, 2},
+                    GeluWidthCase{"avx", detail::gelu_span_avx, 0}),
+    [](const testing::TestParamInfo<GeluWidthCase>& info) {
+      return std::string(info.param.name) + "_threads" +
+             std::to_string(info.param.threads);
+    });
+
+/// The widths this CPU can run.
+std::vector<detail::GeluSpan> runnable_gelu_widths() {
+  std::vector<detail::GeluSpan> spans = {detail::gelu_span_sse2};
+  if (detail::cpu_has_avx()) spans.push_back(detail::gelu_span_avx);
+  return spans;
+}
+
+TEST(OpsGoldenGelu, RationalTanhIsAccurateBoundedAndOdd) {
+  // Every 16th non-negative finite float bit pattern: subnormals, the
+  // near-linear range, the knee and the clamped tail. Inputs below ~1e-11
+  // make subnormal intermediates, which run slowly, so the sweep is split
+  // into slices over a small pool.
+  constexpr std::uint32_t kEnd = 0x7f800000u;
+  constexpr int kSlices = 64;
+  struct Slice {
+    double worst = 0;
+    float worst_at = 0;
+    std::string failure;
+  };
+  std::vector<Slice> slices(kSlices);
+  util::ThreadPool pool(4);
+  util::parallel_for(&pool, kSlices, [&](int k) {
+    Slice& out = slices[k];
+    const std::uint32_t stride = kEnd / 16 / kSlices * 16;
+    const std::uint32_t end = k + 1 == kSlices ? kEnd : (k + 1) * stride;
+    for (std::uint32_t bits = k * stride; bits < end; bits += 16) {
+      const float u = std::bit_cast<float>(bits);
+      const float t = detail::rational_tanh(u);
+      const double err = std::abs(t - std::tanh(static_cast<double>(u)));
+      if (!(err <= out.worst)) {
+        out.worst = err;
+        out.worst_at = u;
+      }
+      const float neg = detail::rational_tanh(-u);
+      if (!(std::abs(t) <= 1.0f) ||
+          std::bit_cast<std::uint32_t>(neg) !=
+              (std::bit_cast<std::uint32_t>(t) ^ 0x80000000u)) {
+        out.failure = testing::PrintToString(u) + " -> " +
+                      testing::PrintToString(t) + ", negated -> " +
+                      testing::PrintToString(neg);
+        return;
+      }
+    }
+  });
+  for (const Slice& slice : slices) {
+    EXPECT_EQ(slice.failure, "") << "|tanh| > 1 or not odd";
+    EXPECT_LE(slice.worst, 5e-7) << "worst at u = " << slice.worst_at;
+  }
+}
+
+TEST(OpsGoldenGelu, GeluTracksTheDoubleFormula) {
+  // A dense grid over the interesting range plus a log-spaced sweep of
+  // both signs out to overflow of x^3.
+  std::vector<float> xs;
+  for (int i = -100000; i <= 100000; ++i) xs.push_back(i * 1e-4f);
+  for (std::uint32_t bits = 0; bits < 0x7f800000u; bits += 4096) {
+    const float v = std::bit_cast<float>(bits);
+    xs.push_back(v);
+    xs.push_back(-v);
+  }
+  Tensor x({static_cast<int>(xs.size())});
+  std::copy(xs.begin(), xs.end(), x.data());
+  const Tensor y = gelu(x);
+  const double c = std::sqrt(2.0 / std::acos(-1.0));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double v = xs[i];
+    const double want =
+        0.5 * v * (1.0 + std::tanh(c * (v + 0.044715 * v * v * v)));
+    const double err = std::abs(y.at(i) - want);
+    if (!(err <= 1e-6 * std::max(1.0, std::abs(want)))) {
+      FAIL() << "gelu(" << xs[i] << ") = " << y.at(i) << ", want " << want;
+    }
+  }
+}
+
+TEST(OpsGoldenGelu, NanInGivesNanOutAtEveryWidth) {
+  // NaN at a lane of a whole vector and in the scalar tail.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x({11});
+  Tensor dy({11});
+  for (int i = 0; i < 11; ++i) {
+    x.data()[i] = 0.25f * i - 1.0f;
+    dy.data()[i] = 1.0f;
+  }
+  x.data()[2] = nan;
+  x.data()[10] = nan;
+  const auto expect_nans = [](const Tensor& t, const char* what) {
+    EXPECT_TRUE(std::isnan(t.at(2))) << what;
+    EXPECT_TRUE(std::isnan(t.at(10))) << what;
+    EXPECT_FALSE(std::isnan(t.at(3))) << what;
+  };
+  expect_nans(ref::gelu(x), "ref::gelu");
+  expect_nans(ref::gelu_backward(x, dy), "ref::gelu_backward");
+  for (const detail::GeluSpan span : runnable_gelu_widths()) {
+    expect_nans(detail::gelu(span, x), "gelu");
+    expect_nans(detail::gelu_backward(span, x, dy), "gelu_backward");
+    const GeluGrads both = detail::gelu_forward_backward(span, x, dy);
+    expect_nans(both.y, "gelu_forward_backward.y");
+    expect_nans(both.dx, "gelu_forward_backward.dx");
+  }
+  EXPECT_TRUE(std::isnan(detail::rational_tanh(nan)));
+}
+
+TEST(OpsGoldenGelu, InfinitiesGiveTheSameBitsAtEveryWidth) {
+  // +-inf in vector lanes and in the scalar tail, beside finite values.
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor x({11});
+  Tensor dy({11});
+  for (int i = 0; i < 11; ++i) {
+    x.data()[i] = (i % 2 == 0 ? inf : -inf);
+    dy.data()[i] = 0.5f;
+  }
+  x.data()[5] = 1.5f;
+  x.data()[6] = -2.0f;
+  const Tensor want_y = ref::gelu(x);
+  const Tensor want_dx = ref::gelu_backward(x, dy);
+  EXPECT_EQ(want_y.at(0), inf);  // gelu(+inf) = +inf
+  for (const detail::GeluSpan span : runnable_gelu_widths()) {
+    expect_bits(detail::gelu(span, x), want_y, "gelu");
+    expect_bits(detail::gelu_backward(span, x, dy), want_dx, "gelu_backward");
+    const GeluGrads both = detail::gelu_forward_backward(span, x, dy);
+    expect_bits(both.y, want_y, "gelu_forward_backward.y");
+    expect_bits(both.dx, want_dx, "gelu_forward_backward.dx");
+  }
+  EXPECT_EQ(detail::rational_tanh(inf), 1.0f);
+  EXPECT_EQ(detail::rational_tanh(-inf), -1.0f);
+}
 
 TEST(OpsGolden, KernelIsaNamesTheDispatchedTile) {
   const std::string isa = kernel_isa();
