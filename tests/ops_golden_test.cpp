@@ -306,7 +306,7 @@ TEST_P(OpsGoldenGeluWidth, GeluFamilyBitIdenticalToReference) {
   util::Rng rng(29 + GetParam().threads);
   for (const int n : {1, 3, 4, 7, 8, 9, 15, 17, 255, 257, 32768}) {
     SCOPED_TRACE(testing::Message() << "length " << n);
-    // Scale 4 reaches past the clamp (|u| > 7.9 from |x| > 3.4).
+    // Scale 4 reaches past the clamp (|u| > 7.9 from |x| > 4.85).
     const Tensor x = Tensor::randn({n}, rng, 4.0f);
     const Tensor dy = randn({n}, rng);
     const Tensor want_y = ref::gelu(x);
